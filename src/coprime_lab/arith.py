@@ -198,12 +198,21 @@ def toth_factor(r: int, u: int) -> Fraction:
     return out
 
 
+def signed_subset_products(primes, cap: int | None = None) -> tuple[tuple[int, int], ...]:
+    """All ``(d, mu(d))`` with ``d`` a product of distinct entries of ``primes``.
+
+    With ``cap``, only the products ``d <= cap`` are listed.  The order is
+    fixed: each prime appends the signed products of the list so far.
+    """
+    pairs = [(1, 1)]
+    for p in primes:
+        pairs += [(d * p, -s) for d, s in pairs if cap is None or d * p <= cap]
+    return tuple(pairs)
+
+
 def squarefree_divisors_signed(m: int) -> tuple[tuple[int, int], ...]:
     """All ``(d, mu(d))`` with ``d`` running over divisors of ``radical(m)``.
 
     Handy for one-variable Moebius sums; ``2**omega(m)`` entries.
     """
-    pairs = [(1, 1)]
-    for p in prime_divisors(m):
-        pairs += [(d * p, -s) for d, s in pairs]
-    return tuple(pairs)
+    return signed_subset_products(prime_divisors(m))

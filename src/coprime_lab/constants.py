@@ -27,12 +27,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import arith
-from .constraints import CoprimeTo, DivisibleBy, Residue, TupleConstraint
+from .constraints import MAX_R, CoprimeTo, DivisibleBy, Residue, TupleConstraint
 from .errors import CapacityError, UnsupportedError
 
 DEFAULT_PRIME_CUTOFF = 10**6
-
-MAX_R = 64
 
 
 def _up(x: float) -> float:
@@ -182,13 +180,6 @@ def pairwise_constant(r: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Inter
 # closed-form corrections for side conditions
 
 
-def _moduli_product(moduli) -> int:
-    out = 1
-    for a in moduli:
-        out *= a
-    return out
-
-
 def _coprime_to_factor(kind: str, r: int, big_a: int) -> Fraction:
     """Density ratio for "coordinate i coprime to a_i", a pairwise coprime."""
     if kind == "pairwise":
@@ -211,7 +202,7 @@ def _residue_factor(kind: str, r: int, moduli, residues) -> Fraction:
     Uses the convention gcd(a, 0) = a, under which b = 0 reduces exactly to
     ``_divisible_factor`` (kept separate so the collapse is testable).
     """
-    big_a = _moduli_product(moduli)
+    big_a = math.prod(moduli)
     gs = [math.gcd(a, b) for a, b in zip(moduli, residues)]
     if kind == "pairwise":
         factor = Fraction(arith.psi(r - 2, big_a), arith.psi(r - 1, big_a))
@@ -228,7 +219,7 @@ def _residue_factor(kind: str, r: int, moduli, residues) -> Fraction:
 def _grouping_factor(kind: str, r: int, blocks, moduli) -> Fraction:
     """Density ratio for block grouping: all coordinates in block i coprime
     to a_i, the a_i pairwise coprime."""
-    big_a = _moduli_product(moduli)
+    big_a = math.prod(moduli)
     if kind == "pairwise":
         factor = Fraction(1, arith.psi(r - 1, big_a))
         for blk, a in zip(blocks, moduli):
@@ -272,7 +263,7 @@ def correction_factor(constraint: TupleConstraint) -> Fraction:
         )
 
     if coprime_present:
-        big_a = _moduli_product(
+        big_a = math.prod(
             s.modulus if s is not None else 1 for s in constraint.sides
         )
         return _coprime_to_factor(constraint.kind, constraint.r, big_a)
@@ -280,7 +271,7 @@ def correction_factor(constraint: TupleConstraint) -> Fraction:
     moduli = [s.modulus if s is not None else 1 for s in constraint.sides]
     residues = [s.residue if isinstance(s, Residue) else 0 for s in constraint.sides]
     if all(b == 0 for b in residues):
-        return _divisible_factor(constraint.kind, constraint.r, _moduli_product(moduli))
+        return _divisible_factor(constraint.kind, constraint.r, math.prod(moduli))
     return _residue_factor(constraint.kind, constraint.r, moduli, residues)
 
 

@@ -13,7 +13,8 @@ A ``TupleConstraint`` describes a set of positive r-tuples by
   require distinct pairwise-coprime moduli).
 
 Whenever side conditions or grouping carry moduli, the nontrivial moduli must
-be pairwise coprime; this is checked at construction.
+be pairwise coprime, and their product may not exceed ``MODULUS_PRODUCT_CAP``;
+both are checked at construction.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd, prod
 
+from .errors import CapacityError
+
 MAX_R = 64
+# The density formulas factor the product of the moduli by trial division
+# (at most 10**6 steps under this cap), and the counting kernels evaluate
+# residues and gcds against each modulus in int64.
+MODULUS_PRODUCT_CAP = 10**12
 
 
 @dataclass(frozen=True)
@@ -132,6 +139,12 @@ class TupleConstraint:
             if any(a < 1 for a in self.block_moduli):
                 raise ValueError("block moduli must be >= 1")
             _check_pairwise_coprime(tuple(self.block_moduli), "block moduli")
+        moduli = prod(_side_modulus(s) for s in self.sides) * prod(self.block_moduli or ())
+        if moduli > MODULUS_PRODUCT_CAP:
+            raise CapacityError(
+                f"product of the side and block moduli {moduli} exceeds the cap "
+                f"{MODULUS_PRODUCT_CAP}"
+            )
 
     # -- constructors -------------------------------------------------------
 

@@ -14,8 +14,13 @@ Three counting routes, all integer-exact:
 
   where L_i = lcm of the d_S over subsets containing coordinate i and N_i(L)
   counts the x <= B_i divisible by L that satisfy coordinate i's side
-  condition.  Assignments are enumerated depth-first with the last subset
-  vectorized; the identity is certified against brute force in the tests.
+  condition.  Without a side condition N_i(L) = B_i // L; with one, N_i is a
+  table over L <= B_i summed from the admissible values once per call, so
+  every side kind is counted from its definition.  Assignments are
+  enumerated depth-first with the last subset vectorized (or replayed from a
+  cached table), and one row evaluator sums the products exactly, in int64
+  when the box volume allows and in Python integers otherwise; the identity
+  is certified against brute force in the tests.
 * the recursive pairwise counter (``count_toth``) — peels one coordinate per
   level, memoizing on the radical of the accumulated coprimality modulus.
 
@@ -30,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -44,7 +49,6 @@ from .constraints import (
     CoprimeTo,
     CountResult,
     DivisibleBy,
-    Residue,
     TupleConstraint,
 )
 from .errors import CapacityError, UnsupportedError
@@ -68,12 +72,13 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-@lru_cache(maxsize=3)
 def shared_tables(limit: int) -> arith.ArithTables:
     """Sieve tables rounded up to a power of two, shared across counters."""
-    size = 2048
-    while size < limit:
-        size *= 2
+    return _tables_of_size(max(2048, 1 << (limit - 1).bit_length()))
+
+
+@lru_cache(maxsize=3)
+def _tables_of_size(size: int) -> arith.ArithTables:
     return arith.build_tables(size)
 
 
@@ -139,79 +144,50 @@ def member_bulk(cols: list[np.ndarray], constraint: TupleConstraint) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# side-condition coordinate counters: N(L) = #{x <= B : L | x, side holds}
+# side conditions per coordinate
 
 
-class _SideCounter:
-    """Counts multiples of L in [1, B] that satisfy one side condition."""
-
-    def __init__(self, bound: int, side) -> None:
-        self.bound = bound
-        self.side = side
-        if isinstance(side, CoprimeTo):
-            self._sq = arith.squarefree_divisors_signed(side.modulus)
-        elif isinstance(side, Residue):
-            # modular inverse table per divisor of the modulus
-            self._inv: dict[int, np.ndarray] = {}
-            a = side.modulus
-            divs = [d for d in range(1, a + 1) if a % d == 0]
-            for v in divs:
-                tab = np.zeros(v, dtype=np.int64)
-                for x in range(v):
-                    if gcd(x, v) == 1:
-                        tab[x] = pow(x, -1, v)
-                self._inv[v] = tab
-            self._divs = divs
-
-    def vec(self, L: np.ndarray) -> np.ndarray:
-        B = self.bound
-        L = np.asarray(L, dtype=np.int64)
-        side = self.side
-        if side is None:
-            return B // L
-        if isinstance(side, DivisibleBy):
-            a = side.modulus
-            M = L // np.gcd(L, a) * a
-            return B // M
-        if isinstance(side, CoprimeTo):
-            c = side.modulus
-            ok = np.gcd(L, c) == 1
-            out = np.zeros(len(L), dtype=np.int64)
-            for e, s in self._sq:
-                out += s * (B // (L * e))
-            out[~ok] = 0
-            return out
-        # Residue: x ≡ 0 (mod L) and x ≡ b (mod a); solvable iff gcd(L,a) | b,
-        # one class mod lcm(L,a) with representative L*y, y = (b/g)·(L/g)^-1 mod a/g.
-        a, b = side.modulus, side.residue
-        g = np.gcd(L, a)
-        ok = (b % g) == 0
-        a2 = a // g
-        L2 = (L // g) % a2
-        y = np.zeros(len(L), dtype=np.int64)
-        for v in self._divs:
-            sel = a2 == v
-            if v > 1 and sel.any():
-                y[sel] = ((b // g[sel]) * self._inv[v][L2[sel]]) % v
-        M = L * a2
-        c = L * y
-        cnt = np.where(c == 0, B // M, np.where(c <= B, (B - c) // M + 1, 0))
-        return np.where(ok, cnt, 0)
-
-    def scalar(self, L: int) -> int:
-        return int(self.vec(np.array([L], dtype=np.int64))[0])
+def _admissible(bound: int, side) -> np.ndarray:
+    """Boolean mask over [0, bound]: entry x says whether x >= 1 meets the side."""
+    v = np.arange(bound + 1, dtype=np.int64)
+    if side is None:
+        mask = v > 0
+    elif isinstance(side, CoprimeTo):
+        mask = np.gcd(v, side.modulus) == 1
+    elif isinstance(side, DivisibleBy):
+        mask = v % side.modulus == 0
+    else:
+        mask = v % side.modulus == side.residue
+    mask[0] = False
+    return mask
 
 
 def _allowed_values(bound: int, side) -> np.ndarray:
     """All admissible coordinate values in [1, bound] as an int64 array."""
-    v = np.arange(1, bound + 1, dtype=np.int64)
+    return np.flatnonzero(_admissible(bound, side)).astype(np.int64, copy=False)
+
+
+def _side_counts(bound: int, side):
+    """N(L) = #{x <= bound : L | x, x meets the side} for 1 <= L <= bound.
+
+    Returns N as a callable on an int or an integer array of L values.  With
+    a side condition N is a table filled from the admissible values with a
+    sqrt split: a strided count for each L <= s = isqrt(bound), then for each
+    multiplier m <= bound // (s + 1) a strided add of the admissibility of
+    m * L to every L in (s, bound // m].  That is O(bound log bound) element
+    work in about 2 sqrt(bound) numpy calls, whatever the modulus.
+    """
     if side is None:
-        return v
-    if isinstance(side, CoprimeTo):
-        return v[np.gcd(v, side.modulus) == 1]
-    if isinstance(side, DivisibleBy):
-        return v[v % side.modulus == 0]
-    return v[v % side.modulus == side.residue]
+        return lambda L: bound // L
+    admissible = _admissible(bound, side)
+    s = isqrt(bound)
+    table = np.zeros(bound + 1, dtype=np.int32)  # N(L) <= bound <= the 10**8 sieve cap
+    for L in range(1, s + 1):
+        table[L] = np.count_nonzero(admissible[L::L])
+    for m in range(1, bound // (s + 1) + 1):
+        top = bound // m
+        table[s + 1 : top + 1] += admissible[m * (s + 1) : m * top + 1 : m]
+    return table.__getitem__
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +379,6 @@ def _brute_generic(vals, subsets) -> int:
 # the Möbius engine
 
 
-def _capped_divisors(primes: tuple[int, ...], cap: int) -> list[tuple[int, int]]:
-    """All (g, mu(g)) with g a product of the given primes and g <= cap."""
-    out = [(1, 1)]
-    for p in primes:
-        out += [(d * p, -s) for d, s in out if d * p <= cap]
-    return out
-
-
 def _mobius_enumerate(bounds, subsets, tables, emit) -> None:
     """DFS over squarefree assignments (d_S), last subset vectorized.
 
@@ -433,7 +401,7 @@ def _mobius_enumerate(bounds, subsets, tables, emit) -> None:
         base_primes = tuple(sorted({p for i in S for p in coord_primes[i]}))
         cap = max(bounds[i] for i in S)
         leaf = t == depth_count - 1
-        for g, mu_g in _capped_divisors(base_primes, cap):
+        for g, mu_g in arith.signed_subset_products(base_primes, cap):
             Lg = [lcm(L[i], g) for i in S]
             F = min(bounds[i] // lg for i, lg in zip(S, Lg))
             if F < 1:
@@ -482,6 +450,7 @@ def _mobius_enumerate(bounds, subsets, tables, emit) -> None:
 _ASSIGN_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 _ASSIGN_CACHE_MAX = 2
 _CACHE_VOLUME_MIN = 10**9
+_ROW_SLICE = 1 << 16
 
 
 def _cached_assignments(bounds, subsets, tables) -> tuple[np.ndarray, np.ndarray]:
@@ -528,40 +497,36 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
     if min(box.bounds) == 0:
         return CountResult(count=0, constraint=constraint, box=box, method=METHOD_MOBIUS)
     tables = shared_tables(max(box.bounds))
-    counters = [
-        _SideCounter(b, side)
-        for b, side in zip(box.bounds, constraint.effective_sides())
+    counts = [
+        _side_counts(b, side) for b, side in zip(box.bounds, constraint.effective_sides())
     ]
-
-    use_cache = box.volume() >= _CACHE_VOLUME_MIN and len(subsets) >= 3
-    if use_cache:
-        A, W = _cached_assignments(box.bounds, subsets, tables)
-        total = 0
-        step = 1 << 22
-        for lo in range(0, len(W), step):
-            chunk = slice(lo, lo + step)
-            acc = W[chunk].astype(np.int64)
-            for i, counter in enumerate(counters):
-                acc *= counter.vec(A[chunk, i].astype(np.int64))
-            total += int(acc.sum())
-        return CountResult(count=total, constraint=constraint, box=box, method=METHOD_MOBIUS)
-
+    # A row's product is at most the volume in size: int64 holds it when the
+    # volume is below 2**63, and holds the sum of a slice of _ROW_SLICE rows
+    # when volume * _ROW_SLICE is; in between, slices are summed in halves.
+    volume = box.volume()
+    dtype = np.int64 if volume < 2**63 else object
+    halves = dtype is np.int64 and volume * _ROW_SLICE >= 2**63
     total = 0
 
-    def emit(cols, w):
+    def evaluate(cols, w) -> None:
+        """Add the sum over rows of w * prod_i N_i(cols[i]); a column is an
+        array of L values or one int shared by every row."""
         nonlocal total
-        acc = w
-        for c, counter in zip(cols, counters):
-            if isinstance(c, (int, np.integer)):
-                n = counter.scalar(int(c))
-                if n == 0:
-                    return
-                acc = acc * n
+        for lo in range(0, len(w), _ROW_SLICE):
+            rows = slice(lo, lo + _ROW_SLICE)
+            acc = w[rows].astype(dtype)
+            for c, N in zip(cols, counts):
+                acc *= N(c[rows] if isinstance(c, np.ndarray) else c)
+            if halves:  # high and low 32 bits: each sum stays below 2**48
+                total += (int((acc >> 32).sum()) << 32) + int((acc & 0xFFFFFFFF).sum())
             else:
-                acc = acc * counter.vec(c)
-        total += int(acc.sum())
+                total += int(acc.sum())
 
-    _mobius_enumerate(box.bounds, subsets, tables, emit)
+    if volume >= _CACHE_VOLUME_MIN and len(subsets) >= 3:
+        A, W = _cached_assignments(box.bounds, subsets, tables)
+        evaluate(A.T, W)
+    else:
+        _mobius_enumerate(box.bounds, subsets, tables, evaluate)
     return CountResult(count=total, constraint=constraint, box=box, method=METHOD_MOBIUS)
 
 
@@ -621,7 +586,6 @@ def _toth_modulus(constraint: TupleConstraint) -> int:
 # ---------------------------------------------------------------------------
 # recursive pairwise counter with radical memoization
 
-_TOTH_MEMO: dict[tuple, int] = {}
 _TOTH_MEMO_MAX = 4_000_000
 TOTH_BOUND_CAP = 100_000
 
@@ -669,6 +633,7 @@ def count_toth(bounds: tuple[int, ...], u: int = 1) -> CountResult:
         )
 
     u_primes = tuple(p for p, _ in arith.factor_small(u))
+    memo: dict[tuple, int] = {}
 
     def rec(depth: int, vprimes: tuple[int, ...]) -> int:
         if depth == 0:
@@ -676,7 +641,7 @@ def count_toth(bounds: tuple[int, ...], u: int = 1) -> CountResult:
         nmax_prefix = max(bounds[:depth])
         vkey = tuple(p for p in vprimes if p <= nmax_prefix)
         key = (bounds[:depth], vkey)
-        hit = _TOTH_MEMO.get(key)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         if depth == 1:
@@ -689,9 +654,9 @@ def count_toth(bounds: tuple[int, ...], u: int = 1) -> CountResult:
                 if vset.isdisjoint(rho):
                     merged = tuple(sorted(vset | set(rho)))
                     total += cnt * rec(depth - 1, merged)
-        if len(_TOTH_MEMO) >= _TOTH_MEMO_MAX:
+        if len(memo) >= _TOTH_MEMO_MAX:
             raise CapacityError("recursive counter memo budget exceeded")
-        _TOTH_MEMO[key] = total
+        memo[key] = total
         return total
 
     count = rec(len(bounds), u_primes) if min(bounds) > 0 else 0
@@ -762,19 +727,12 @@ def pattern_count(n: int, pattern: PatternMatrix, alpha) -> CountResult:
         forced = prod(p for p, row in zip(pattern.primes, pattern.entries) if row[j])
         banned = [p for p, row in zip(pattern.primes, pattern.entries) if not row[j]]
         cnt = 0
-        for sub, sign in _signed_subset_products(banned):
+        for sub, sign in arith.signed_subset_products(banned):
             cnt += sign * (bound // (forced * sub))
         total *= cnt
         if total == 0:
             break
     return CountResult(count=total, constraint=None, box=box, method=METHOD_MOBIUS)
-
-
-def _signed_subset_products(primes) -> list[tuple[int, int]]:
-    out = [(1, 1)]
-    for p in primes:
-        out += [(d * p, -s) for d, s in out]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -54,17 +54,11 @@ class CountGrid:
         )
 
 
-def _side_mask(n: int, side) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[counting._allowed_values(n, side) - 1] = True
-    return mask
-
-
 def _occupancy(n: int, constraint: TupleConstraint) -> np.ndarray:
     """Boolean membership grid over [1,n]^r (index j holds value j+1)."""
     r = constraint.r
     idx = np.arange(1, n + 1, dtype=np.int64)
-    masks = [_side_mask(n, side) for side in constraint.effective_sides()]
+    masks = [counting._admissible(n, side)[1:] for side in constraint.effective_sides()]
     k = constraint.effective_k
     if r == 2:
         occ = np.gcd.outer(idx, idx) == 1

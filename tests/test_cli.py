@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 FAIL_FIXTURE = str(Path(__file__).parent / "data" / "failing-campaign.ini")
 
 from coprime_lab import cli
-from coprime_lab.constraints import Box, TupleConstraint
+from coprime_lab.constraints import Box, Residue, TupleConstraint
 from coprime_lab.counting import count_box
 
 
@@ -147,6 +148,33 @@ def test_count_capacity_exit(capsys):
     )
     assert code == 4
     assert "capacity" in err
+
+
+def test_count_oversized_modulus_exit(capsys):
+    code, _, err = run_cli(
+        capsys, "count", "--class", "mutual", "-r", "2", "-n", "10",
+        "--divisible", "9223372036854775837,1",
+    )
+    assert code == 4
+    assert "capacity" in err
+
+
+def test_count_large_residue_modulus(capsys):
+    start = time.monotonic()
+    code, out, _ = run_cli(
+        capsys, "count", "--class", "mutual", "-r", "2", "-n", "100",
+        "--residue", "1000000007:5,1:0",
+    )
+    assert time.monotonic() - start < 1
+    assert code == 0
+    c = TupleConstraint.mutual(2, (Residue(1000000007, 5), None))
+    assert json.loads(out)["count"] == count_box(Box.cube(100, 2), c, method="bruteforce").count
+
+
+def test_count_mutual_r4_past_int64(capsys):
+    code, out, _ = run_cli(capsys, "count", "--class", "mutual", "-r", "4", "-n", "60000")
+    assert code == 0
+    assert json.loads(out)["count"] == 11974243246502789823
 
 
 def test_count_bad_alpha_exit(capsys):

@@ -12,6 +12,7 @@ from coprime_lab.constraints import (
     TupleConstraint,
 )
 from coprime_lab.counting import member
+from coprime_lab.errors import CapacityError
 
 
 def test_class_constructors_and_effective_k():
@@ -64,6 +65,19 @@ def test_grouping_validation():
         TupleConstraint.grouped("pairwise", 3, ((0, 1),), (6,))
     with pytest.raises(ValueError):
         TupleConstraint.grouped("pairwise", 3, ((0, 1), (2,)), (6, 4))
+
+
+def test_moduli_product_cap():
+    TupleConstraint.mutual(2, (CoprimeTo(10**6), CoprimeTo(999_999)))
+    for sides in (
+        (DivisibleBy(9223372036854775837), None),
+        (CoprimeTo(18446744073709551629), None),
+        (Residue(10**6, 1), Residue(10**6 + 1, 0)),
+    ):
+        with pytest.raises(CapacityError):
+            TupleConstraint.pairwise(2, sides)
+    with pytest.raises(CapacityError):
+        TupleConstraint.grouped("mutual", 2, ((0,), (1,)), (10**6, 10**6 + 1))
 
 
 def test_effective_sides_materializes_grouping():

@@ -234,6 +234,60 @@ def test_bruteforce_volume_cap():
         count_box_bruteforce(Box.cube(200_000, 2), TupleConstraint.mutual(2))
 
 
+# -- side-condition tables and exact accumulation -----------------------------
+
+
+@pytest.mark.parametrize(
+    "side",
+    (None, CoprimeTo(1), CoprimeTo(6), CoprimeTo(35), DivisibleBy(4), Residue(5, 3), Residue(7, 0)),
+)
+def test_side_counts_match_enumeration(side):
+    # bounds s^2 - 1, s^2, s^2 + 1 move the sqrt split of the table fill
+    for s in (1, 3, 7, 10):
+        for bound in (s * s - 1, s * s, s * s + 1):
+            if bound < 1:
+                continue
+            N = counting._side_counts(bound, side)
+            want = [
+                sum(1 for x in range(L, bound + 1, L) if side is None or side.admits(x))
+                for L in range(1, bound + 1)
+            ]
+            assert [int(N(L)) for L in range(1, bound + 1)] == want, (bound, side)
+            assert N(np.arange(1, bound + 1)).tolist() == want, (bound, side)
+
+
+def _mutual_reference(bounds: tuple[int, ...]) -> int:
+    """sum_d mu(d) prod_i floor(B_i / d) in Python integers."""
+    mu = counting.arith.build_tables(min(bounds)).mobius.tolist()
+    return sum(mu[d] * prod(b // d for b in bounds) for d in range(1, min(bounds) + 1) if mu[d])
+
+
+@pytest.mark.parametrize(
+    "n, r, count",
+    (
+        (50_000, 4, 5774627950244730431),
+        (60_000, 4, 11974243246502789823),
+        (3_000_000, 3, 22461499405572175591),
+    ),
+)
+def test_mobius_sums_past_int64_exactly(n, r, count):
+    # row products reach 6.25e18 < 2^63 at the first size and pass 2^63 at
+    # the other two, where the counts themselves do
+    assert count_mobius(Box.cube(n, r), TupleConstraint.mutual(r)).count == count
+    assert _mutual_reference((n,) * r) == count
+
+
+def test_shared_tables_cache_by_rounded_size(monkeypatch):
+    built = []
+    build = counting.arith.build_tables
+    monkeypatch.setattr(
+        counting.arith, "build_tables", lambda limit: built.append(limit) or build(limit)
+    )
+    counting._tables_of_size.cache_clear()
+    assert counting.shared_tables(49_000) is counting.shared_tables(60_000)
+    assert built == [1 << 16]
+
+
 # -- recursive pairwise counter ------------------------------------------------
 
 
@@ -267,6 +321,16 @@ def test_toth_equals_bruteforce_spot_grid():
 def test_toth_bound_cap():
     with pytest.raises(CapacityError):
         count_toth((counting.TOTH_BOUND_CAP + 1, 5))
+
+
+def test_toth_memo_budget_is_per_call(monkeypatch):
+    # the first call stores 128 entries; a memo kept across calls would then
+    # have no room for the second call's 20
+    monkeypatch.setattr(counting, "_TOTH_MEMO_MAX", 130)
+    assert count_toth((30, 30, 30)).count == count_box_bruteforce(
+        Box.cube(30, 3), TupleConstraint.pairwise(3)
+    ).count
+    assert count_toth((7, 7, 7), 11).count == 133
 
 
 # -- divisibility patterns ------------------------------------------------------
