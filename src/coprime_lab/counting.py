@@ -16,11 +16,17 @@ Three counting routes, all integer-exact:
   counts the x <= B_i divisible by L that satisfy coordinate i's side
   condition.  Without a side condition N_i(L) = B_i // L; with one, N_i is a
   table over L <= B_i summed from the admissible values once per call, so
-  every side kind is counted from its definition.  Assignments are
-  enumerated depth-first with the last subset vectorized (or replayed from a
-  cached table), and one row evaluator sums the products exactly, in int64
-  when the box volume allows and in Python integers otherwise; the identity
-  is certified against brute force in the tests.
+  every side kind is counted from its definition.  When one subset covers
+  every coordinate (mutual, or k-wise with k = r) and no coordinate has a
+  side condition, the count is sum_d mu(d) prod_i (B_i // d): d is taken in
+  the O(sqrt(B)) runs on which every quotient is constant, and the Mertens
+  function M at the run ends comes from a sieve to about B^(2/3) plus the
+  Deléglise-Rivat recursion, so bounds up to 10**10 need no full sieve.
+  Otherwise assignments are enumerated depth-first with the last subset
+  vectorized (or replayed from a cached table), and one row evaluator sums
+  the products exactly, in int64 when the box volume allows and in Python
+  integers otherwise; the identities are certified against brute force in
+  the tests.
 * the recursive pairwise counter (``count_toth``) — peels one coordinate per
   level, memoizing on the radical of the accumulated coprimality modulus.
 
@@ -30,12 +36,13 @@ Also here: divisibility-pattern counts and the gcd/lcm weighted sums.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, prod
+from math import ceil, gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -54,12 +61,16 @@ from .constraints import (
 from .errors import CapacityError, UnsupportedError
 
 BRUTE_VOLUME_CAP = 25_000_000_000
+MUTUAL_BOUND_CAP = 10**10  # a cold r=2 count at the cap: 2-5 s on 2 vCPUs
+GCD_SUM_BOUND_CAP = 10**8  # a cold gcd-weighted sum at the cap: 6-15 s
 GENERIC_PREFIX_CAP = 20_000_000
 ENGINE_MAX_SUBSETS = 128
 
 
 def worker_count() -> int:
-    """Thread cap: COPRIME_LAB_THREADS if set, else available parallelism."""
+    """Thread cap: COPRIME_LAB_THREADS if set, else available parallelism;
+    never more than the CPU count."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("COPRIME_LAB_THREADS")
     if env is not None:
         try:
@@ -68,13 +79,19 @@ def worker_count() -> int:
             raise ValueError(f"COPRIME_LAB_THREADS must be an integer, got {env!r}") from exc
         if v < 1:
             raise ValueError(f"COPRIME_LAB_THREADS must be >= 1, got {v}")
-        return v
-    return os.cpu_count() or 1
+        return min(v, cpus)
+    return cpus
 
 
 def shared_tables(limit: int) -> arith.ArithTables:
-    """Sieve tables rounded up to a power of two, shared across counters."""
-    return _tables_of_size(max(2048, 1 << (limit - 1).bit_length()))
+    """Sieve tables rounded up to a power of two, shared across counters.
+
+    Where the power of two would pass ``arith.TABLE_LIMIT_MAX`` the table is
+    built to ``limit`` itself, so the cap in force is the documented one and a
+    refusal names the caller's limit.
+    """
+    size = max(2048, 1 << (limit - 1).bit_length())
+    return _tables_of_size(size if size <= arith.TABLE_LIMIT_MAX else limit)
 
 
 @lru_cache(maxsize=3)
@@ -447,6 +464,67 @@ def _mobius_enumerate(bounds, subsets, tables, emit) -> None:
     rec(0, 1)
 
 
+def _check_bound_cap(bounds, cap: int, what: str) -> None:
+    if max(bounds) > cap:
+        raise CapacityError(f"bound {max(bounds)} exceeds the {what} cap {cap}")
+
+
+def _mertens(bounds):
+    """M(x) = sum_{d <= x} mu(d) for every x = B // k with B in ``bounds``.
+
+    Values up to the limit y of one sieve table, y >= max(bounds)**(2/3), are
+    its running Möbius sum.  Each larger x (at most B // y of them per B)
+    takes, in increasing order, M(x) = 1 - sum_{k >= 2} M(x // k): the terms
+    with x // k <= s = isqrt(x) in one dot product of M(q) with the run
+    lengths x // q - x // (q + 1), the other k <= x // (s + 1) one by one,
+    from the table or from the larger values already found (Deléglise &
+    Rivat, Exp. Math. 5, 1996).  Returns M as a callable on those x.
+    """
+    tables = shared_tables(ceil(max(bounds) ** (2 / 3)))
+    y = tables.limit
+    small = np.cumsum(tables.mobius, dtype=np.int64)
+    points = set()
+    for b in bounds:
+        k = np.arange(1, isqrt(b) + 1, dtype=np.int64)
+        points.update((b // k).tolist(), k.tolist())
+    xs = sorted(points)
+    cut = bisect_right(xs, y)
+    memo = dict(zip(xs[:cut], small[xs[:cut]].tolist()))
+    for x in xs[cut:]:
+        s = isqrt(x)
+        xq = x // np.arange(1, s + 2, dtype=np.int64)
+        total = int(np.dot(small[1 : s + 1], xq[:-1] - xq[1:]))
+        top = x // (s + 1)
+        big = x // (y + 1)
+        total += sum(memo[x // k] for k in range(2, big + 1))
+        total += int(small[x // np.arange(big + 1, top + 1, dtype=np.int64)].sum())
+        memo[x] = 1 - total
+    return memo.__getitem__
+
+
+def _runs(bounds):
+    """The maximal runs lo..hi of d <= min(bounds) on which every B // d is
+    constant, as (lo, hi, [B // d for B in bounds])."""
+    d, m = 1, min(bounds)
+    while d <= m:
+        quotients = [b // d for b in bounds]
+        hi = min([b // q for b, q in zip(bounds, quotients)])
+        yield d, hi, quotients
+        d = hi + 1
+
+
+def _mutual_sum(bounds, M) -> int:
+    """sum_d mu(d) prod_i (B_i // d) in Python integers, one term per run of
+    d.  M must be defined at every B_i // k, as ``_mertens`` of these bounds
+    is, or of bounds whose quotients include them."""
+    total = prev = 0
+    for _, hi, quotients in _runs(bounds):
+        m = M(hi)
+        total += (m - prev) * prod(quotients)
+        prev = m
+    return total
+
+
 _ASSIGN_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 _ASSIGN_CACHE_MAX = 2
 _CACHE_VOLUME_MIN = 10**9
@@ -485,6 +563,9 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
 
     Handles every class and side-condition combination; cost grows with the
     number of constrained subsets, so very wide k-wise systems are refused.
+    A single subset over every coordinate without side conditions is summed
+    over the runs of d with Mertens values (bounds up to MUTUAL_BOUND_CAP);
+    every other input runs the subset DFS, whose sieve caps bounds at 10**8.
     """
     if box.r != constraint.r:
         raise ValueError(f"box is {box.r}-dimensional, constraint wants {constraint.r}")
@@ -496,16 +577,18 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
         )
     if min(box.bounds) == 0:
         return CountResult(count=0, constraint=constraint, box=box, method=METHOD_MOBIUS)
+    if len(subsets) == 1 and all(s is None for s in constraint.effective_sides()):
+        _check_bound_cap(box.bounds, MUTUAL_BOUND_CAP, "mutual-count")
+        count = _mutual_sum(box.bounds, _mertens(box.bounds))
+        return CountResult(count=count, constraint=constraint, box=box, method=METHOD_MOBIUS)
     tables = shared_tables(max(box.bounds))
     counts = [
         _side_counts(b, side) for b, side in zip(box.bounds, constraint.effective_sides())
     ]
-    # A row's product is at most the volume in size: int64 holds it when the
-    # volume is below 2**63, and holds the sum of a slice of _ROW_SLICE rows
-    # when volume * _ROW_SLICE is; in between, slices are summed in halves.
+    # A row's product is at most the volume in size, so int64 holds the sum
+    # of a slice of _ROW_SLICE rows when volume * _ROW_SLICE is below 2**63.
     volume = box.volume()
-    dtype = np.int64 if volume < 2**63 else object
-    halves = dtype is np.int64 and volume * _ROW_SLICE >= 2**63
+    dtype = np.int64 if volume * _ROW_SLICE < 2**63 else object
     total = 0
 
     def evaluate(cols, w) -> None:
@@ -517,10 +600,7 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
             acc = w[rows].astype(dtype)
             for c, N in zip(cols, counts):
                 acc *= N(c[rows] if isinstance(c, np.ndarray) else c)
-            if halves:  # high and low 32 bits: each sum stays below 2**48
-                total += (int((acc >> 32).sum()) << 32) + int((acc & 0xFFFFFFFF).sum())
-            else:
-                total += int(acc.sum())
+            total += int(acc.sum())
 
     if volume >= _CACHE_VOLUME_MIN and len(subsets) >= 3:
         A, W = _cached_assignments(box.bounds, subsets, tables)
@@ -742,27 +822,23 @@ def pattern_count(n: int, pattern: PatternMatrix, alpha) -> CountResult:
 def weighted_sum_gcd(n: int, alpha) -> int:
     """Exact sum of gcd(x, y) over x <= floor(n a), y <= floor(n b).
 
-    Expanded as sum over d of d * sum over squarefree k of
-    mu(k) floor(A/dk) floor(B/dk); the identity with the totient form
-    sum_e phi(e) floor(A/e) floor(B/e) is a test oracle.
+    Grouping the pairs by their gcd d gives sum over d of d * C(A // d, B // d),
+    where C(a, b) = sum over k of mu(k) floor(a/k) floor(b/k) counts the
+    coprime pairs of [1, a] x [1, b].  The d are taken in the runs on which
+    (A // d, B // d) is constant, each run weighted by the sum of its d, and
+    every C is a run-grouped Mertens sum on one table of M at the quotients
+    of A and B.  The totient form sum_e phi(e) floor(A/e) floor(B/e) is a test
+    oracle.
     """
     box = Box.from_alpha(n, alpha)
     if box.r != 2:
         raise ValueError("gcd-weighted sums are defined for 2-dimensional boxes")
-    A, B = box.bounds
-    m = min(A, B)
-    if m == 0:
-        return 0
-    tables = shared_tables(m)
-    mob = tables.mobius
-    total = 0
-    for d in range(1, m + 1):
-        top = m // d
-        k = np.arange(1, top + 1, dtype=np.int64)
-        mu_k = mob[1 : top + 1].astype(np.int64)
-        e = d * k
-        total += d * int(np.sum(mu_k * (A // e) * (B // e)))
-    return int(total)
+    _check_bound_cap(box.bounds, GCD_SUM_BOUND_CAP, "gcd-sum")
+    M = _mertens(box.bounds)
+    return sum(
+        (lo + hi) * (hi - lo + 1) // 2 * _mutual_sum(quotients, M)
+        for lo, hi, quotients in _runs(box.bounds)
+    )
 
 
 def weighted_sum_lcm(n: int, alpha) -> int:

@@ -177,6 +177,13 @@ def test_count_mutual_r4_past_int64(capsys):
     assert json.loads(out)["count"] == 11974243246502789823
 
 
+def test_count_mutual_past_the_sieve_cap(capsys):
+    # OEIS A018805: coprime pairs in [1, 10**8]^2
+    code, out, _ = run_cli(capsys, "count", "--class", "mutual", "-r", "2", "-n", "100000000")
+    assert code == 0
+    assert json.loads(out)["count"] == 6079271032731815
+
+
 def test_count_bad_alpha_exit(capsys):
     code, _, err = run_cli(
         capsys, "count", "-r", "2", "-n", "4", "--class", "mutual", "--alpha", "2,1"

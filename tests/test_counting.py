@@ -1,6 +1,7 @@
 """Counting paths: brute force, subset-Möbius engine, recursive pairwise
 counter, divisibility patterns, and weighted gcd/lcm sums."""
 
+import os
 import random
 from fractions import Fraction
 from itertools import product
@@ -277,6 +278,66 @@ def test_mobius_sums_past_int64_exactly(n, r, count):
     assert _mutual_reference((n,) * r) == count
 
 
+@pytest.mark.parametrize("n, r", ((50_000, 4), (60_000, 4)))
+def test_mobius_sums_with_sides_past_int64_exactly(n, r):
+    # the subset DFS with an odd first coordinate: volume * 2**16 passes 2**63
+    # at the first size and the volume itself at the second
+    c = TupleConstraint.mutual(r, (CoprimeTo(2),) + (None,) * (r - 1))
+    mu = counting.arith.build_tables(n).mobius.tolist()
+    want = sum(
+        mu[d] * ((n // d + 1) // 2) * (n // d) ** (r - 1) for d in range(1, n + 1, 2) if mu[d]
+    )
+    assert count_mobius(Box.cube(n, r), c).count == want
+
+
+def test_mutual_route_equals_bruteforce_randomized():
+    # one subset over every coordinate: mutual r=2..5 and k-wise with k = r
+    rng = random.Random(20261018)
+    for trial in range(60):
+        r = rng.randint(2, 5)
+        c = rng.choice((TupleConstraint.mutual(r), TupleConstraint.kwise(r, r)))
+        hi = (60, 30, 14, 9)[r - 2]
+        bounds = tuple(rng.randint(0, hi) for _ in range(r))
+        box = Box(bounds=bounds, n=hi)
+        got = count_mobius(box, c).count
+        assert got == count_box_bruteforce(box, c).count, (trial, c.describe(), bounds)
+
+
+def test_mertens_matches_published_values():
+    # OEIS A084237: M(10**k) for k = 0..8
+    M = counting._mertens((10**8,))
+    want = (1, -1, 1, 2, -23, -48, 212, 1037, 1928)
+    assert tuple(M(10**k) for k in range(9)) == want
+
+
+def test_mutual_route_refuses_over_cap_before_sieving(monkeypatch):
+    built = []
+    monkeypatch.setattr(counting.arith, "build_tables", built.append)
+    n = counting.MUTUAL_BOUND_CAP + 1
+    with pytest.raises(CapacityError):
+        count_mobius(Box(bounds=(n, 5), n=n), TupleConstraint.mutual(2))
+    with pytest.raises(CapacityError):
+        weighted_sum_gcd(counting.GCD_SUM_BOUND_CAP + 1, (1, 1))
+    assert built == []
+
+
+def test_shared_tables_never_round_past_the_table_cap(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        counting.arith, "build_tables", lambda limit: built.append(limit) or limit
+    )
+    counting._tables_of_size.cache_clear()
+    try:
+        assert counting.shared_tables(70_000_000) == 70_000_000
+        assert counting.shared_tables(60_000_000) == 1 << 26
+        assert built == [70_000_000, 1 << 26]
+    finally:
+        counting._tables_of_size.cache_clear()
+    monkeypatch.undo()
+    with pytest.raises(CapacityError, match="100000001"):
+        counting.shared_tables(10**8 + 1)
+
+
 def test_shared_tables_cache_by_rounded_size(monkeypatch):
     built = []
     build = counting.arith.build_tables
@@ -446,6 +507,17 @@ def test_weighted_sum_gcd_totient_identity():
         assert direct == via_phi
 
 
+def test_weighted_sum_gcd_totient_identity_large_n():
+    n, alpha = 10**5, (1, Fraction(1, 2))
+    A, B = Box.from_alpha(n, alpha).bounds
+    phi = list(range(A + 1))
+    for p in range(2, A + 1):
+        if phi[p] == p:
+            for m in range(p, A + 1, p):
+                phi[m] -= phi[m] // p
+    assert weighted_sum_gcd(n, alpha) == sum(phi[e] * (A // e) * (B // e) for e in range(1, A + 1))
+
+
 def test_weighted_sum_lcm_capacity():
     with pytest.raises(CapacityError):
         weighted_sum_lcm(60_001, (1, 1))
@@ -460,6 +532,7 @@ def test_weighted_sum_dimension_guard():
 
 
 def test_worker_count_env(monkeypatch):
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
     monkeypatch.setenv("COPRIME_LAB_THREADS", "3")
     assert counting.worker_count() == 3
     monkeypatch.setenv("COPRIME_LAB_THREADS", "0")
@@ -467,6 +540,11 @@ def test_worker_count_env(monkeypatch):
         counting.worker_count()
     monkeypatch.delenv("COPRIME_LAB_THREADS")
     assert counting.worker_count() >= 1
+
+
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setenv("COPRIME_LAB_THREADS", str(10**6))
+    assert counting.worker_count() == (os.cpu_count() or 1)
 
 
 def test_prod_of_empty_bounds_is_handled():
