@@ -65,16 +65,23 @@ def build_tables(limit: int) -> ArithTables:
             sieve[p * p :: p] = False
     primes = np.flatnonzero(sieve).astype(np.int64)
 
+    s = isqrt(limit)
+    n_small = int(np.searchsorted(primes, s, side="right"))
     spf = np.zeros(limit + 1, dtype=np.int32)
     mobius = np.ones(limit + 1, dtype=np.int8)
     mobius[0] = 0
-    for p in primes:
-        p = int(p)
+    for p in primes[:n_small].tolist():
         seg = spf[p::p]
         seg[seg == 0] = p
         mobius[p::p] *= -1
-        if p * p <= limit:
-            mobius[p * p :: p * p] = 0
+        mobius[p * p :: p * p] = 0
+    # A prime p > s divides m <= limit only as m = p * j with j <= limit // p
+    # <= s, so it is the largest prime factor of m, the only one above s and
+    # not repeated: spf is already set unless j = 1, and mu flips once.
+    big = primes[n_small:]
+    spf[big] = big
+    for j in range(1, limit // (s + 1) + 1):
+        mobius[big[: int(np.searchsorted(big, limit // j, side="right"))] * j] *= -1
 
     return ArithTables(limit=limit, spf=spf, mobius=mobius, primes=primes)
 

@@ -157,11 +157,11 @@ def kwise_constant(r: int, k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
         )
 
     lo_acc, hi_acc = 1.0, 1.0
-    for p in _primes_up_to(prime_cutoff):
-        p = int(p)
-        # factor = P(Bin(r, 1/p) <= k-1) = sum_{j<k} C(r,j) (p-1)^(r-j) / p^r
+    for p in _primes_up_to(prime_cutoff).tolist():
+        # factor = P(Bin(r, 1/p) <= k-1) = sum_{j<k} C(r,j) (p-1)^(r-j) / p^r,
+        # rounded to nearest by int true division
         num = sum(math.comb(r, j) * (p - 1) ** (r - j) for j in range(k))
-        f = float(Fraction(num, p**r))
+        f = num / p**r
         lo_acc = _dn(lo_acc * _dn(f))
         hi_acc = _up(hi_acc * _up(f))
 

@@ -7,6 +7,17 @@ product-uniform CDF is therefore attained (or approached) at cell corners.
 so the reported maximizer is deterministic and the value is the true
 supremum, not a sample.
 
+Both the prefix grid and the scan walk slabs of about ``_SLAB_CELLS`` cells
+along the first axis.  ``build_grid`` fills its int32 grid in place: per slab,
+membership is marked from the class's definition (for each prime p <= n and
+each constrained subset S, the strided block of multiples of p on S's axes is
+cleared, and the side masks are ANDed in), then summed.  ``sup_discrepancy``
+scales each slab to int64 in one reused buffer and keeps a running maximum.
+So the memory a grid costs is the grid itself, 4 bytes per cell, plus a few
+MB for one slab: about 4 GB at ``GRID_CELL_CAP``.  Time is about 22 ns per
+cell (r = 3, n = 630, a 1 GB grid: 3.8 s to build, 1.7 s to scan, peak RSS
+1.0 GB on a 2-vCPU machine), so a grid at the cap takes about 20 s.
+
 ``measure_cdf_error`` does the analogous job for the limiting CDFs of the
 gcd and lcm weighted sums, on a rational grid of box shapes.
 """
@@ -24,6 +35,7 @@ from .constraints import Box, CountResult, METHOD_PREFIX_GRID, TupleConstraint
 from .errors import CapacityError
 
 GRID_CELL_CAP = 10**9
+_SLAB_CELLS = 1 << 18
 
 FLAG_AT_CORNER = "AtCorner"
 FLAG_LEFT_LIMIT = "LeftLimit"
@@ -54,54 +66,77 @@ class CountGrid:
         )
 
 
-def _occupancy(n: int, constraint: TupleConstraint) -> np.ndarray:
-    """Boolean membership grid over [1,n]^r (index j holds value j+1)."""
+def _slabs(n: int, r: int):
+    """Row ranges ``[a, b)`` of axis 0 of an ``(n+1)^r`` grid, each about
+    ``_SLAB_CELLS`` cells (at least one row)."""
+    rows = max(1, _SLAB_CELLS // (n + 1) ** (r - 1))
+    for a in range(0, n + 1, rows):
+        yield a, min(a + rows, n + 1)
+
+
+def _multiples_of(p: int, axes: tuple[int, ...], ndim: int) -> tuple[slice, ...]:
+    """Index of the cells whose values on ``axes`` are all multiples of p,
+    in a grid whose index j holds value j + 1."""
+    return tuple(slice(p - 1, None, p) if j in axes else slice(None) for j in range(ndim))
+
+
+def _occupancy_slabs(n: int, constraint: TupleConstraint):
+    """Membership over [1,n]^r, one ``_slabs`` row range at a time.
+
+    Yields ``(a, b, occ)``: ``occ[i]`` is the boolean membership of the tuples
+    with x_1 = a + i (x_1 = 0 holds no tuple), index j on the other axes
+    holding value j + 1.  A tuple fails when some prime p <= n divides every
+    coordinate of some constrained subset S, so for each p and S the strided
+    block of multiples of p on S's axes is cleared, and the side masks are
+    ANDed in.  Subsets without the first axis are marked once, on the tail
+    grid of the other axes; a slab visits only the primes that divide one
+    of its first coordinates.
+    """
     r = constraint.r
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    masks = [counting._admissible(n, side)[1:] for side in constraint.effective_sides()]
-    k = constraint.effective_k
-    if r == 2:
-        occ = np.gcd.outer(idx, idx) == 1
-        occ &= masks[0][:, None]
-        occ &= masks[1][None, :]
-        return occ
-    if r == 3 and k == 2:
-        c01 = np.gcd.outer(idx, idx) == 1
-        occ = c01[:, :, None] & c01[:, None, :] & c01[None, :, :]
-        occ &= masks[0][:, None, None]
-        occ &= masks[1][None, :, None]
-        occ &= masks[2][None, None, :]
-        return occ
-    if r == 3 and k == 3:
-        occ = np.empty((n, n, n), dtype=bool)
-        for x1 in range(1, n + 1):
-            occ[x1 - 1] = np.gcd.outer(np.gcd(x1, idx), idx) == 1
-        occ &= masks[0][:, None, None]
-        occ &= masks[1][None, :, None]
-        occ &= masks[2][None, None, :]
-        return occ
-    # generic: vectorized membership over one x1-slab at a time
-    tail = np.meshgrid(*([idx] * (r - 1)), indexing="ij")
-    tail_cols = [t.reshape(-1) for t in tail]
-    occ = np.empty((n,) * r, dtype=bool)
-    for x1 in range(1, n + 1):
-        cols = [np.full(len(tail_cols[0]), x1, dtype=np.int64)] + tail_cols
-        occ[x1 - 1] = counting.member_bulk(cols, constraint).reshape((n,) * (r - 1))
-    return occ
+    masks = [counting._admissible(n, side) for side in constraint.effective_sides()]
+    primes = counting.shared_tables(n).primes
+    primes = primes[: int(np.searchsorted(primes, n, side="right"))]
+    tail = np.ones((n,) * (r - 1), dtype=bool)
+    for axis, mask in enumerate(masks[1:]):
+        tail &= mask[1:].reshape([n if j == axis else 1 for j in range(r - 1)])
+    head = []  # subsets with the first axis, as axes of the tail grid
+    for subset in constraint.subsets():
+        axes = tuple(j - 1 for j in subset)
+        if subset[0] == 0:
+            head.append(axes[1:])
+            continue
+        for p in primes.tolist():
+            tail[_multiples_of(p, axes, r - 1)] = False
+    for a, b in _slabs(n, r):
+        occ = tail & masks[0][a:b].reshape((b - a,) + (1,) * (r - 1))
+        for p in primes[(b - 1) // primes * primes >= max(a, 1)].tolist():
+            for axes in head:
+                occ[(slice(-a % p, None, p),) + _multiples_of(p, axes, r - 1)] = False
+        yield a, b, occ
 
 
 def build_grid(n: int, constraint: TupleConstraint) -> CountGrid:
-    """Prefix-count grid for all boxes with bounds <= n in each coordinate."""
+    """Prefix-count grid for all boxes with bounds <= n in each coordinate.
+
+    Filled in place one slab of rows at a time: membership, prefix sums over
+    axes 1..r-1, the finished row before the slab, then prefix sums down
+    axis 0.  No full-size temporary is made beside the int32 grid.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     r = constraint.r
     if n**r > GRID_CELL_CAP:
         raise CapacityError(f"grid would need {n**r} cells, cap is {GRID_CELL_CAP}")
-    occ = _occupancy(n, constraint)
     cum = np.zeros((n + 1,) * r, dtype=np.int32)
-    cum[(slice(1, None),) * r] = occ
-    for axis in range(r):
-        np.cumsum(cum, axis=axis, out=cum)
+    inner = (slice(None),) + (slice(1, None),) * (r - 1)
+    for a, b, occ in _occupancy_slabs(n, constraint):
+        block = cum[a:b]
+        block[inner] = occ
+        for axis in range(1, r):
+            np.cumsum(block, axis=axis, dtype=np.int32, out=block)
+        if a:
+            block[0] += cum[a - 1]
+        np.cumsum(block, axis=0, dtype=np.int32, out=block)
     return CountGrid(n=n, r=r, cumulative=cum)
 
 
@@ -132,30 +167,40 @@ def sup_discrepancy(
     total = int(grid.cumulative[(-1,) * r])
     if total == 0:
         raise ValueError("discrepancy is undefined for an empty point set")
-    V = grid.cumulative.astype(np.int64)
     scale = n**r
-    lo = np.ones((1,) * r, dtype=np.int64)
-    hi = np.ones((1,) * r, dtype=np.int64)
     ax = np.arange(n + 1, dtype=np.int64)
     ax_cap = np.minimum(ax + 1, n)
-    for j in range(r):
-        shape = [1] * r
+    # total * prod m_j and total * prod min(m_j + 1, n) over the axes j >= 1
+    tail_lo = np.full((1,) * (r - 1), total, dtype=np.int64)
+    tail_hi = tail_lo
+    for j in range(r - 1):
+        shape = [1] * (r - 1)
         shape[j] = n + 1
-        lo = lo * ax.reshape(shape)
-        hi = hi * ax_cap.reshape(shape)
-    corner = np.abs(V * scale - total * lo)
-    left = np.abs(V * scale - total * hi)
-    ic = int(np.argmax(corner))
-    il = int(np.argmax(left))
-    best_c = int(corner.reshape(-1)[ic])
-    best_l = int(left.reshape(-1)[il])
+        tail_lo = tail_lo * ax.reshape(shape)
+        tail_hi = tail_hi * ax_cap.reshape(shape)
+    row_cells = (n + 1) ** (r - 1)
+    # two int64 slabs, reused: the scaled counts and one deviation at a time
+    buf = np.empty((2, next(_slabs(n, r))[1]) + (n + 1,) * (r - 1), dtype=np.int64)
+    # running (numerator, flat index) per candidate kind; a slab replaces it
+    # only when it is strictly larger, so the first maximizer is kept
+    top = [(-1, 0), (-1, 0)]
+    for a, b in _slabs(n, r):
+        v, dev = buf[:, : b - a]
+        np.multiply(grid.cumulative[a:b], scale, out=v, dtype=np.int64)
+        rows = (b - a,) + (1,) * (r - 1)
+        for kind, (head, tail) in enumerate(((ax, tail_lo), (ax_cap, tail_hi))):
+            np.multiply(head[a:b].reshape(rows), tail, out=dev)
+            np.subtract(v, dev, out=dev)
+            np.abs(dev, out=dev)
+            i = int(np.argmax(dev))
+            if dev.flat[i] > top[kind][0]:
+                top[kind] = (int(dev.flat[i]), a * row_cells + i)
+    (best_c, flat_c), (best_l, flat_l) = top
     if best_l > best_c:
-        flat, flag = il, FLAG_LEFT_LIMIT
-        best = best_l
+        best, flat, flag = best_l, flat_l, FLAG_LEFT_LIMIT
     else:
-        flat, flag = ic, FLAG_AT_CORNER
-        best = best_c
-    argmax = tuple(int(v) for v in np.unravel_index(flat, corner.shape))
+        best, flat, flag = best_c, flat_c, FLAG_AT_CORNER
+    argmax = tuple(int(v) for v in np.unravel_index(flat, grid.cumulative.shape))
     value = float(Fraction(best, total * scale))
     return DiscrepancyReport(
         n=n,

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,3 +148,38 @@ def test_toth_factor_prime_closed_form():
 def test_table_limit_guard(tables):
     with pytest.raises(ValueError):
         arith.factorize(10**9, tables)
+
+
+def _check_table_entries(t, ms):
+    for m in ms:
+        fac = arith.factor_small(m)
+        assert int(t.spf[m]) == (fac[0][0] if fac else 0), (t.limit, m)
+        assert int(t.mobius[m]) == arith.mobius_of(m), (t.limit, m)
+
+
+def test_build_tables_against_trial_division():
+    # the sieve treats primes above isqrt(limit) in bulk, so the limits
+    # include every small one and both sides of two prime squares
+    for limit in range(2, 301):
+        t = arith.build_tables(limit)
+        _check_table_entries(t, range(1, limit + 1))
+        assert t.primes.tolist() == [m for m in range(2, limit + 1) if t.spf[m] == m]
+    for p in (97, 997):
+        for limit in (p * p - 1, p * p, p * p + 1):
+            t = arith.build_tables(limit)
+            assert len(t.spf) == len(t.mobius) == limit + 1
+            assert int(t.spf[0]) == int(t.spf[1]) == int(t.mobius[0]) == 0
+            ms = range(1, limit + 1) if p == 97 else [
+                *range(1, 3001),
+                *range(limit - 3000, limit + 1),
+                *range(p - 50, limit + 1, p),  # multiples of p up to p * p
+                *range(1009, limit + 1, 1009),  # the first prime above p
+            ]
+            _check_table_entries(t, ms)
+            primes = np.flatnonzero(t.spf == np.arange(limit + 1))[1:]  # spf[0] = 0
+            assert np.array_equal(t.primes, primes)
+
+
+def test_mertens_at_one_million():
+    # M(10**6) = 212 (OEIS A084237)
+    assert int(arith.build_tables(10**6).mobius.sum(dtype=np.int64)) == 212

@@ -226,3 +226,12 @@ def test_trivial_sides_do_not_change_the_constant():
     plain = density(TupleConstraint.pairwise(3))
     dressed = density(TupleConstraint.pairwise(3, (None, None, None)))
     assert plain.lo == dressed.lo and plain.hi == dressed.hi
+
+
+def test_constant_endpoints_frozen():
+    # each Euler factor is one correctly rounded int division; the endpoints
+    # are frozen bit for bit at the values of the exact-rational conversion
+    k43 = kwise_constant(4, 3)
+    assert (k43.lo.hex(), k43.hi.hex()) == ("0x1.2b26d6165acfbp-1", "0x1.2b26d616a2568p-1")
+    p3 = pairwise_constant(3)
+    assert (p3.lo.hex(), p3.hi.hex()) == ("0x1.25a0e85c074afp-2", "0x1.25a122171df3ap-2")

@@ -1,5 +1,6 @@
 """Occupancy grids, exact sup-discrepancy, and weighted-measure CDF errors."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import gcd, log
@@ -7,7 +8,8 @@ from math import gcd, log
 import numpy as np
 import pytest
 
-from coprime_lab.constraints import Box, DivisibleBy, TupleConstraint
+from coprime_lab import discrepancy
+from coprime_lab.constraints import Box, CoprimeTo, DivisibleBy, Residue, TupleConstraint
 from coprime_lab.counting import count_box_bruteforce, member, weighted_sum_gcd, weighted_sum_lcm
 from coprime_lab.discrepancy import (
     FLAG_AT_CORNER,
@@ -21,23 +23,35 @@ from coprime_lab.discrepancy import (
 from coprime_lab.errors import CapacityError
 
 
-def test_grid_cumulative_matches_membership():
-    for constraint in (
-        TupleConstraint.mutual(2),
-        TupleConstraint.pairwise(3),
-        TupleConstraint.mutual(3),
-        TupleConstraint.kwise(3, 3),
-        TupleConstraint.pairwise(2, (DivisibleBy(2), None)),
-    ):
-        n = 12
-        grid = build_grid(n, constraint)
-        for bounds in product(range(0, n + 1, 3), repeat=constraint.r):
-            want = sum(
-                1
-                for x in product(*(range(1, b + 1) for b in bounds))
-                if member(x, constraint)
-            )
-            assert int(grid.cumulative[bounds]) == want, (constraint.kind, bounds)
+# the default slab size, and two sizes that split n = 12 grids unevenly
+# (r = 2: 3 rows a slab; r = 3: 2 rows; r >= 4: 1 row)
+SLAB_SIZES = (discrepancy._SLAB_CELLS, 40, 400)
+
+GRID_CLASSES = (
+    TupleConstraint.mutual(2),
+    TupleConstraint.pairwise(3),
+    TupleConstraint.mutual(3),
+    TupleConstraint.kwise(3, 3),
+    TupleConstraint.pairwise(2, (DivisibleBy(2), None)),
+    TupleConstraint.kwise(4, 3),
+    TupleConstraint.pairwise(4),
+    TupleConstraint.mutual(3, (CoprimeTo(6), Residue(5, 2), None)),
+)
+
+
+def test_grid_cumulative_matches_membership(monkeypatch):
+    n = 12
+    for constraint in GRID_CLASSES:
+        r = constraint.r
+        want = np.zeros((n + 1,) * r, dtype=np.int64)
+        for x in product(range(1, n + 1), repeat=r):
+            want[x] = member(x, constraint)
+        for axis in range(r):
+            want = np.cumsum(want, axis=axis)
+        for slab_cells in SLAB_SIZES:
+            monkeypatch.setattr(discrepancy, "_SLAB_CELLS", slab_cells)
+            grid = build_grid(n, constraint)
+            assert np.array_equal(grid.cumulative, want), (constraint.describe(), slab_cells)
 
 
 def test_grid_frozen_corner():
@@ -175,3 +189,79 @@ def test_grid_matches_bruteforce_counts():
     for bounds in ((20, 20, 20), (7, 13, 20), (1, 1, 1)):
         want = count_box_bruteforce(Box(bounds=bounds, n=n), c).count
         assert int(grid.cumulative[bounds]) == want
+
+
+def _whole_grid_sup(grid):
+    """The whole-array form of the sup scan: every corner and left-limit
+    numerator at once, then the first maximizer in row-major order."""
+    n, r = grid.n, grid.r
+    total = int(grid.cumulative[(-1,) * r])
+    scale = n**r
+    lo = np.ones((1,) * r, dtype=np.int64)
+    hi = np.ones((1,) * r, dtype=np.int64)
+    ax = np.arange(n + 1, dtype=np.int64)
+    for j in range(r):
+        shape = [1] * r
+        shape[j] = n + 1
+        lo = lo * ax.reshape(shape)
+        hi = hi * np.minimum(ax + 1, n).reshape(shape)
+    v = grid.cumulative.astype(np.int64) * scale
+    corner = np.abs(v - total * lo)
+    left = np.abs(v - total * hi)
+    ic, il = int(np.argmax(corner)), int(np.argmax(left))
+    if left.flat[il] > corner.flat[ic]:
+        best, flat, flag = int(left.flat[il]), il, FLAG_LEFT_LIMIT
+    else:
+        best, flat, flag = int(corner.flat[ic]), ic, FLAG_AT_CORNER
+    argmax = tuple(int(i) for i in np.unravel_index(flat, corner.shape))
+    return Fraction(best, total * scale), argmax, flag, total
+
+
+def test_slab_scan_matches_whole_grid_formula(monkeypatch):
+    cases = [(c, n) for c in GRID_CLASSES for n in (1, 2, 7, 12)]
+    cases += [
+        # maxima tied across rows (mutual r=2 at 10 and 22, 2 | x1 at 6),
+        # a corner value tied with a left limit (x2 odd at 10), a corner win
+        (TupleConstraint.mutual(2), 10),
+        (TupleConstraint.mutual(2), 22),
+        (TupleConstraint.pairwise(2, (DivisibleBy(2), None)), 6),
+        (TupleConstraint.mutual(2, (None, CoprimeTo(2))), 10),
+        (TupleConstraint.pairwise(2, (Residue(5, 0), Residue(4, 3))), 16),
+        (TupleConstraint.kwise(5, 3), 6),
+        (TupleConstraint.pairwise(2, (Residue(3, 1), CoprimeTo(10))), 29),
+        (TupleConstraint.kwise(4, 3, (None, DivisibleBy(2), None, CoprimeTo(3))), 9),
+    ]
+    for constraint, n in cases:
+        grid = build_grid(n, constraint)
+        if int(grid.cumulative[(-1,) * grid.r]) == 0:
+            continue
+        value, argmax, flag, total = _whole_grid_sup(grid)
+        for slab_cells in SLAB_SIZES:
+            monkeypatch.setattr(discrepancy, "_SLAB_CELLS", slab_cells)
+            report = sup_discrepancy(grid, constraint)
+            assert (report.value, report.argmax, report.flag, report.total) == (
+                float(value),
+                argmax,
+                flag,
+                total,
+            ), (constraint.describe(), n, slab_cells)
+
+
+def test_grid_and_scan_peak_memory():
+    """The build stays near one int32 grid and the scan below one (the
+    whole-array forms peaked at 1.24x and 12x the grid for this size)."""
+    constraint = TupleConstraint.mutual(3)
+    build_grid(2, constraint)  # warm the shared prime table outside the trace
+    tracemalloc.start()
+    try:
+        grid = build_grid(128, constraint)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        sup_discrepancy(grid, constraint)
+        _, scan_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = grid.cumulative.nbytes
+    assert scan_peak - base < size
+    assert build_peak < 1.2 * size
