@@ -22,9 +22,13 @@ arithmetic so the enclosure width only scales.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+
+import numpy as np
 
 from . import arith
 from .constraints import MAX_R, CoprimeTo, DivisibleBy, Residue, TupleConstraint
@@ -103,7 +107,18 @@ def zeta(r: int) -> Interval:
     # M^-r <= 2.5e-13 keeps the bracket width comfortably under 1e-12.
     target = 4 * 10**12
     m_terms = max(64, math.ceil(target ** (1.0 / r)))
-    partial = math.fsum(1.0 / (m**r) for m in range(1, m_terms + 1))
+    if m_terms**r < 2**53:
+        # every m**r is exact in int64 and in float64, so each term is the
+        # same correctly rounded quotient as 1.0 / (m**r) in Python; blocks
+        # of 2**16 keep the float list small
+        blocks = (
+            np.arange(lo, min(lo + 2**16, m_terms + 1), dtype=np.int64) ** r
+            for lo in range(1, m_terms + 1, 2**16)
+        )
+        terms = chain.from_iterable((1.0 / b.astype(np.float64)).tolist() for b in blocks)
+    else:
+        terms = (1.0 / (m**r) for m in range(1, m_terms + 1))
+    partial = math.fsum(terms)
     tail_hi = m_terms ** (1 - r) / (r - 1) if r > 1 else math.inf
     tail_lo = tail_hi - m_terms ** (-r)
     lo = partial + tail_lo
@@ -156,12 +171,18 @@ def kwise_constant(r: int, k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
             f"prime_cutoff {prime_cutoff} exceeds the sieve cap {arith.TABLE_LIMIT_MAX}"
         )
 
+    # factor = P(Bin(r, 1/p) <= k-1) = sum_{j<k} C(r,j) (p-1)^(r-j) / p^r,
+    # rounded to nearest by int true division.  While p^r < 2^53 numerator
+    # and denominator are exact in int64 and float64, so numpy's division
+    # rounds to the same float.
+    binomials = [(math.comb(r, j), r - j) for j in range(k)]
+    primes = _primes_up_to(prime_cutoff).tolist()
+    split = bisect_left(primes, True, key=lambda p: p**r >= 2**53)
+    q = np.array(primes[:split], dtype=np.int64) - 1
+    factors = (sum(c * q**e for c, e in binomials) / (q + 1) ** r).tolist()
+    factors += [sum([c * (p - 1) ** e for c, e in binomials]) / p**r for p in primes[split:]]
     lo_acc, hi_acc = 1.0, 1.0
-    for p in _primes_up_to(prime_cutoff).tolist():
-        # factor = P(Bin(r, 1/p) <= k-1) = sum_{j<k} C(r,j) (p-1)^(r-j) / p^r,
-        # rounded to nearest by int true division
-        num = sum(math.comb(r, j) * (p - 1) ** (r - j) for j in range(k))
-        f = num / p**r
+    for f in factors:
         lo_acc = _dn(lo_acc * _dn(f))
         hi_acc = _up(hi_acc * _up(f))
 

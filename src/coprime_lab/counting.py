@@ -28,7 +28,12 @@ Three counting routes, all integer-exact:
   integers otherwise; the identities are certified against brute force in
   the tests.
 * the recursive pairwise counter (``count_toth``) — peels one coordinate per
-  level, memoizing on the radical of the accumulated coprimality modulus.
+  level, grouping its admissible values by radical and memoizing on the
+  primes of the accumulated coprimality modulus that can still divide a
+  remaining coordinate, down to a vectorized two-coordinate Möbius sum over
+  the same side-condition tables N_i.  ``count_box`` sends pairwise-type
+  classes (subset size 2) with r >= 3 and bounds up to ``TOTH_BOUND_CAP``
+  here and everything else to ``count_mobius``.
 
 Also here: divisibility-pattern counts and the gcd/lcm weighted sums.
 """
@@ -631,14 +636,28 @@ def count_mutual_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
 
 
 def count_box(box: Box, constraint: TupleConstraint, method: str | None = None) -> CountResult:
-    """Count with the requested method, or the fastest valid one (Möbius)."""
-    if method in (None, "auto", "mobius"):
+    """Count with the requested method, or with the engine suited to the input.
+
+    ``auto`` (or None) sends pairwise-type classes (subset size 2) with r >= 3
+    and bounds up to TOTH_BOUND_CAP to the peeling counter ``count_toth``,
+    whose cost grows with the radicals of the values rather than with the
+    C(r, 2) subset variables, and everything else to ``count_mobius``.
+    """
+    if method in (None, "auto"):
+        pairwise_type = constraint.effective_k == 2 and constraint.r >= 3
+        method = "toth" if pairwise_type and max(box.bounds) <= TOTH_BOUND_CAP else "mobius"
+    if method == "mobius":
         return count_mobius(box, constraint)
     if method == "bruteforce":
         return count_box_bruteforce(box, constraint)
     if method == "toth":
-        u = _toth_modulus(constraint)
-        res = count_toth(box.bounds, u)
+        if box.r != constraint.r:
+            raise ValueError(f"box is {box.r}-dimensional, constraint wants {constraint.r}")
+        if constraint.effective_k != 2:
+            raise UnsupportedError(
+                "the recursive counter handles the pairwise class (subset size 2) only"
+            )
+        res = count_toth(box.bounds, sides=constraint.effective_sides())
         return CountResult(count=res.count, constraint=constraint, box=box, method=METHOD_TOTH)
     if method == "grid":
         from . import discrepancy
@@ -650,110 +669,160 @@ def count_box(box: Box, constraint: TupleConstraint, method: str | None = None) 
     raise ValueError(f"unknown counting method {method!r}")
 
 
-def _toth_modulus(constraint: TupleConstraint) -> int:
-    """The uniform coprimality modulus u for the recursive pairwise counter."""
-    if constraint.kind != "pairwise":
-        raise UnsupportedError("the recursive counter handles the pairwise class only")
-    if constraint.blocks is not None:
-        if len(constraint.blocks) == 1:
-            return constraint.block_moduli[0]
-        raise UnsupportedError("the recursive counter needs a single uniform modulus")
-    if any(s is not None for s in constraint.sides):
-        raise UnsupportedError("the recursive counter supports no per-coordinate sides")
-    return 1
-
-
 # ---------------------------------------------------------------------------
-# recursive pairwise counter with radical memoization
+# recursive pairwise counter: radical peeling
 
 _TOTH_MEMO_MAX = 4_000_000
 TOTH_BOUND_CAP = 100_000
 
 
-@lru_cache(maxsize=8)
-def _radical_groups(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Group 1..m by the sorted tuple of primes dividing the value."""
-    tables = shared_tables(m)
-    groups: dict[tuple[int, ...], int] = {}
-    for t in range(1, m + 1):
-        key = tuple(p for p, _ in arith.factorize(t, tables))
-        groups[key] = groups.get(key, 0) + 1
-    return tuple(sorted(groups.items()))
+def count_toth(bounds: tuple[int, ...], u: int = 1, sides=None) -> CountResult:
+    """Pairwise-coprime tuples in the box, every coordinate coprime to u and
+    coordinate i meeting ``sides[i]`` (None: no side conditions).
 
+    Coordinates are peeled one at a time (Tóth, Fibonacci Quart. 40, 2002):
+    with P_d(u) the count over the first d coordinates coprime to u,
 
-def _coprime_count(bound: int, primes: tuple[int, ...]) -> int:
-    """#{t <= bound : no prime in `primes` divides t}."""
-    mask = np.ones(bound + 1, dtype=bool)
-    mask[0] = False
-    for p in primes:
-        if p <= bound:
-            mask[p::p] = False
-    return int(np.count_nonzero(mask))
+        P_d(u) = sum over radicals rho of admissible x_d, (rho, u) = 1,
+                 of #{x_d with radical rho} * P_{d-1}(u * rho),
 
+    memoized per call on (d, the primes of u up to the largest of the first d
+    bounds), the only primes that can divide those coordinates.  Coordinates
+    are taken in ascending order of bound, so the largest are peeled first and
+    the keys below them stay short.  The base is one vectorized Möbius sum,
 
-def count_toth(bounds: tuple[int, ...], u: int = 1) -> CountResult:
-    """Pairwise-coprime tuples in the box, all coordinates coprime to u.
+        P_2(u) = sum over squarefree e, (e, u) = 1, of mu(e) Phi_1(e) Phi_2(e),
+        Phi_i(e) = #{x_i admissible : e | x_i, (x_i, u) = 1}
+                 = sum over d | u of mu(d) N_i(d e),
 
-    Recursive: the last coordinate t is peeled off and folded into the
-    coprimality modulus, P(bounds, u) = sum over t <= bounds[-1], gcd(t,u)=1
-    of P(bounds[:-1], rad(t*u)); values of t are grouped by radical and the
-    recursion memoizes on (bounds prefix, radical truncated to usable primes).
-    Exact but exponential-ish in r; meant for modest bounds.
+    with N_i the side-condition counts of ``count_mobius``; without a side,
+    Phi_i(e) is the number of y <= B_i // e coprime to u, read from one prefix
+    sum of the coprimality mask.  The cost grows with the number of distinct
+    prime sets the peeled coordinates can accumulate, so steeply with r.
+
+    A result without sides is tagged with the pairwise class (grouped with
+    modulus u when u > 1); with sides it carries no constraint, since
+    ``count_box`` tags its own result with the caller's.
     """
     bounds = tuple(int(b) for b in bounds)
-    if len(bounds) < 1:
+    r = len(bounds)
+    if r < 1:
         raise ValueError("bounds must have at least one coordinate")
     if any(b < 0 for b in bounds):
         raise ValueError(f"bounds must be nonnegative, got {bounds}")
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
-    if max(bounds, default=0) > TOTH_BOUND_CAP:
+    if sides is not None and len(sides) != r:
+        raise ValueError(f"need {r} side conditions, got {len(sides)}")
+    if max(bounds) > TOTH_BOUND_CAP:
         raise CapacityError(
             f"recursive counter capped at bounds <= {TOTH_BOUND_CAP}, got {bounds}"
         )
+    count = 0
+    if min(bounds) > 0:
+        count = _peel(bounds, arith.prime_divisors(u), sides or (None,) * r)
 
-    u_primes = tuple(p for p, _ in arith.factor_small(u))
-    memo: dict[tuple, int] = {}
-
-    def rec(depth: int, vprimes: tuple[int, ...]) -> int:
-        if depth == 0:
-            return 1
-        nmax_prefix = max(bounds[:depth])
-        vkey = tuple(p for p in vprimes if p <= nmax_prefix)
-        key = (bounds[:depth], vkey)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if depth == 1:
-            total = _coprime_count(bounds[0], vkey)
-        else:
-            n_d = bounds[depth - 1]
-            total = 0
-            vset = set(vkey)
-            for rho, cnt in _radical_groups(n_d):
-                if vset.isdisjoint(rho):
-                    merged = tuple(sorted(vset | set(rho)))
-                    total += cnt * rec(depth - 1, merged)
-        if len(memo) >= _TOTH_MEMO_MAX:
-            raise CapacityError("recursive counter memo budget exceeded")
-        memo[key] = total
-        return total
-
-    count = rec(len(bounds), u_primes) if min(bounds) > 0 else 0
-
-    r = len(bounds)
-    n = max(bounds)
-    box = Box(bounds=bounds, n=max(n, 1))
-    if r >= 2:
+    box = Box(bounds=bounds, n=max(max(bounds), 1))
+    constraint = None
+    if r >= 2 and sides is None:
         if u == 1:
             constraint = TupleConstraint.pairwise(r)
         else:
-            constraint = TupleConstraint.grouped(
-                "pairwise", r, (tuple(range(r)),), (u,)
-            )
-    else:
-        constraint = None
+            constraint = TupleConstraint.grouped("pairwise", r, (tuple(range(r)),), (u,))
     return CountResult(count=count, constraint=constraint, box=box, method=METHOD_TOTH)
+
+
+def _peel(bounds, u_primes, sides) -> int:
+    """The exact count of ``count_toth`` for positive bounds."""
+    order = sorted(range(len(bounds)), key=bounds.__getitem__)
+    B = [bounds[i] for i in order]
+    S = [sides[i] for i in order]
+    tables = shared_tables(B[-1])
+    counts = [_side_counts(b, side) for b, side in zip(B[:2], S[:2])]
+
+    sq = tables.squarefree_up_to(B[0])
+    mu_sq = tables.mobius[sq].astype(np.int64)
+    quotients = [b // sq for b in B[:2]]
+
+    def coprime_mask(primes, size):
+        """Boolean mask over [0, size]: 1 <= x and no prime of u divides x."""
+        keep = np.ones(size + 1, dtype=bool)
+        keep[0] = False
+        for p in primes:
+            keep[p :: p] = False
+        return keep
+
+    def phi(i, primes, keep):
+        """Phi_i at every squarefree e <= B[0] (the base uses only those
+        coprime to u), keep being ``coprime_mask`` to at least B[i]."""
+        if S[i] is None:
+            # sum over d | u of mu(d) (B_i // (d e)) counts y <= B_i // e coprime to u
+            return np.cumsum(keep[: B[i] + 1], dtype=np.int32)[quotients[i]]
+        pairs = arith.signed_subset_products(primes, B[i])
+        ends = np.searchsorted(sq, [B[i] // d for d, _ in pairs], side="right").tolist()
+        out = np.zeros(len(sq), dtype=np.int64)
+        for (d, mu_d), k in zip(pairs, ends):
+            out[:k] += mu_d * counts[i](d * sq[:k])
+        return out
+
+    def base(primes) -> int:
+        keep = coprime_mask(primes, B[1])
+        phi0 = phi(0, primes, keep)
+        phi1 = phi0 if (B[1], S[1]) == (B[0], S[0]) else phi(1, primes, keep)
+        # |Phi_i| <= B_i <= TOTH_BOUND_CAP, so the dot product fits in int64
+        return int(np.dot(mu_sq * keep[sq] * phi0, phi1))
+
+    top = tuple(p for p in u_primes if p <= B[-1])
+    if len(B) == 1:
+        return int(phi(0, top, coprime_mask(top, B[0]))[0])
+    if len(B) == 2:
+        return base(top)
+
+    rad = np.ones(B[-1] + 1, dtype=np.int64)
+    for p in tables.primes[: int(np.searchsorted(tables.primes, B[-1], side="right"))].tolist():
+        rad[p :: p] *= p
+    groups: dict[tuple, list] = {}
+
+    def radical_groups(i):
+        """(rho, #x_i with radical rho, the product and the tuple of rho's
+        primes up to B[i-1]) over the admissible x_i."""
+        key = (B[i], S[i], B[i - 1])
+        if key not in groups:
+            rho, cnt = np.unique(rad[_allowed_values(B[i], S[i])], return_counts=True)
+            out = groups[key] = []
+            for rv, c in zip(rho.tolist(), cnt.tolist()):
+                ps = tuple(p for p, _ in arith.factorize(rv, tables) if p <= B[i - 1])
+                out.append((rv, c, prod(ps), ps))
+        return groups[key]
+
+    memos: list[dict[int, int]] = [{} for _ in range(len(B) + 1)]
+    stored = 0
+
+    def rec(d: int, key: int, primes: tuple[int, ...]) -> int:
+        # primes: the primes of u up to B[d-1], key their product
+        nonlocal stored
+        if d == 2:
+            total = base(primes)
+        else:
+            cut = B[d - 2]
+            kp = tuple(p for p in primes if p <= cut)
+            kk = prod(kp)
+            below = memos[d - 1]
+            total = 0
+            for rv, c, rk, rp in radical_groups(d - 1):
+                if gcd(key, rv) == 1:
+                    nk = kk * rk
+                    v = below.get(nk)
+                    if v is None:
+                        v = rec(d - 1, nk, kp + rp)
+                    total += c * v
+        if stored >= _TOTH_MEMO_MAX:
+            raise CapacityError("recursive counter memo budget exceeded")
+        memos[d][key] = total
+        stored += 1
+        return total
+
+    return rec(len(B), prod(top), top)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-FAIL_FIXTURE = str(Path(__file__).parent / "data" / "failing-campaign.ini")
+DATA = Path(__file__).parent / "data"
+FAIL_FIXTURE = str(DATA / "failing-campaign.ini")
 
 from coprime_lab import cli
 from coprime_lab.constraints import Box, Residue, TupleConstraint
@@ -80,6 +81,16 @@ def test_count_frozen_example(capsys):
         "bounds": [4, 4],
         "constraint": "mutual r=2",
     }
+
+
+def test_count_tiny_pairwise_r5_is_fast(capsys):
+    # the subset DFS took most of a minute on this box
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "count", "--class", "pairwise", "-r", "5", "-n", "6")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    row = json.loads(out)
+    assert (row["count"], row["method"]) == (266, "Toth")
 
 
 def test_count_zero_alpha(capsys):
@@ -352,3 +363,16 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 11
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [(["verify", "--suite", "paper"], "verify-paper.jsonl"), (["calibrate"], "calibrate.json")],
+)
+def test_stdout_matches_golden_file(argv, golden):
+    # a fresh process, so every cache starts cold as for a user of the CLI
+    proc = subprocess.run(
+        [sys.executable, "-m", "coprime_lab.cli", *argv], capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (DATA / golden).read_bytes()

@@ -235,3 +235,27 @@ def test_constant_endpoints_frozen():
     assert (k43.lo.hex(), k43.hi.hex()) == ("0x1.2b26d6165acfbp-1", "0x1.2b26d616a2568p-1")
     p3 = pairwise_constant(3)
     assert (p3.lo.hex(), p3.hi.hex()) == ("0x1.25a0e85c074afp-2", "0x1.25a122171df3ap-2")
+
+
+def test_zeta_and_product_endpoints_frozen():
+    # the partial sums and Euler products are formed term by term exactly as
+    # their loop forms do, so the endpoints stay the same bit for bit
+    zetas = {
+        2: ("0x1.a51a66253059cp+0", "0x1.a51a662530a0ap+0"),
+        3: ("0x1.33ba004f003ebp+0", "0x1.33ba004f00859p+0"),
+        4: ("0x1.151322ac7d612p+0", "0x1.151322ac7da7ep+0"),
+        5: ("0x1.097418eca7a9ap+0", "0x1.097418eca7effp+0"),
+        6: ("0x1.0470984c0900ap+0", "0x1.0470984c09477p+0"),
+    }
+    for r, ends in zetas.items():
+        z = zeta(r)
+        assert (z.lo.hex(), z.hi.hex()) == ends, r
+    products = {
+        (2, 2): ("0x1.37422595623b1p-1", "0x1.374239fbadcb8p-1"),
+        (3, 2): ("0x1.25a0e85c074afp-2", "0x1.25a122171df3ap-2"),
+        (4, 2): ("0x1.d68ffa44285b7p-4", "0x1.d690b34d17b69p-4"),
+        (5, 3): ("0x1.6e40a54434e1cp-2", "0x1.6e40a5448184bp-2"),
+    }
+    for (r, k), ends in products.items():
+        c = kwise_constant(r, k)
+        assert (c.lo.hex(), c.hi.hex()) == ends, (r, k)

@@ -3,6 +3,7 @@ counter, divisibility patterns, and weighted gcd/lcm sums."""
 
 import os
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -130,6 +131,10 @@ def _random_constraint(rng: random.Random) -> TupleConstraint:
     r = rng.randint(2, 4)
     kind = rng.choice(("mutual", "pairwise", "kwise"))
     k = rng.randint(2, r) if kind == "kwise" else None
+    return _random_sides(rng, kind, r, k)
+
+
+def _random_sides(rng: random.Random, kind: str, r: int, k=None) -> TupleConstraint:
     for _ in range(50):
         sides = tuple(rng.choice(SIDE_POOLS) for _ in range(r))
         try:
@@ -392,6 +397,84 @@ def test_toth_memo_budget_is_per_call(monkeypatch):
         Box.cube(30, 3), TupleConstraint.pairwise(3)
     ).count
     assert count_toth((7, 7, 7), 11).count == 133
+
+
+def test_toth_with_sides_equals_bruteforce_randomized():
+    rng = random.Random(20261018)
+    caps = {2: 60, 3: 30, 4: 14, 5: 8}
+    for trial in range(60):
+        r = rng.randint(2, 5)
+        n = caps[r]
+        bounds = tuple(rng.choice((0, rng.randint(1, n), n)) for _ in range(r))
+        box = Box(bounds=bounds, n=n)
+        if trial % 3 == 0:
+            cut = rng.randint(1, r - 1)
+            blocks = (tuple(range(cut)), tuple(range(cut, r)))
+            moduli = rng.choice(((6, 5), (4, 1), (10, 3)))
+            c = TupleConstraint.grouped("pairwise", r, blocks, moduli)
+        else:
+            c = _random_sides(rng, "pairwise", r)
+        want = count_box_bruteforce(box, c).count
+        assert count_box(box, c, method="toth").count == want, (trial, c, bounds)
+        assert count_toth(bounds, sides=c.effective_sides()).count == want, (trial, c, bounds)
+
+
+def test_toth_uniform_modulus_with_sides():
+    # u and per-coordinate sides together: u seeds the peeled modulus
+    sides = (Residue(4, 1), None, DivisibleBy(3))
+    for bounds in ((13, 20, 17), (0, 5, 5), (9, 1, 30)):
+        want = sum(
+            1
+            for x in product(*(range(1, b + 1) for b in bounds))
+            if all(s is None or s.admits(v) for s, v in zip(sides, x))
+            and all(gcd(v, 5) == 1 for v in x)
+            and all(gcd(a, b) == 1 for i, a in enumerate(x) for b in x[i + 1 :])
+        )
+        got = count_toth(bounds, 5, sides)
+        assert got.count == want and got.constraint is None
+
+
+def test_pairwise_routes_agree_with_mobius_on_suite_sides():
+    box = Box.cube(1024, 3)
+    for sides in (
+        (CoprimeTo(2), CoprimeTo(3), CoprimeTo(5)),
+        (DivisibleBy(2), DivisibleBy(3), DivisibleBy(5)),
+        (Residue(2, 1), Residue(3, 0), Residue(5, 2)),
+    ):
+        want = count_mobius(box, TupleConstraint.pairwise(3, sides)).count
+        for c in (TupleConstraint.pairwise(3, sides), TupleConstraint.kwise(3, 2, sides)):
+            auto = count_box(box, c)
+            assert (auto.count, auto.method) == (want, "Toth")
+            assert count_box(box, c, method="toth").count == want
+            assert count_box(box, c, method="mobius").method == "Mobius"
+
+
+def test_auto_route_by_subset_size_rank_and_bound():
+    def route(box, c):
+        return count_box(box, c).method
+
+    assert route(Box.cube(10, 3), TupleConstraint.pairwise(3)) == "Toth"
+    assert route(Box.cube(10, 4), TupleConstraint.kwise(4, 2)) == "Toth"
+    assert route(Box.cube(10, 2), TupleConstraint.pairwise(2)) == "Mobius"
+    assert route(Box.cube(10, 3), TupleConstraint.mutual(3)) == "Mobius"
+    assert route(Box.cube(10, 4), TupleConstraint.kwise(4, 3)) == "Mobius"
+    big = Box(bounds=(counting.TOTH_BOUND_CAP + 1, 2, 2), n=counting.TOTH_BOUND_CAP + 1)
+    assert route(big, TupleConstraint.pairwise(3)) == "Mobius"
+
+
+def test_toth_method_refuses_subsets_above_two():
+    for c in (TupleConstraint.kwise(4, 3), TupleConstraint.mutual(3)):
+        with pytest.raises(UnsupportedError):
+            count_box(Box.cube(5, c.r), c, method="toth")
+
+
+def test_pairwise_r4_cube_at_200_is_fast():
+    # the subset DFS took minutes on this box
+    box = Box.cube(200, 4)
+    start = time.perf_counter()
+    got = count_box(box, TupleConstraint.pairwise(4))
+    assert time.perf_counter() - start < 5
+    assert got.count == count_box_bruteforce(box, TupleConstraint.pairwise(4)).count
 
 
 # -- divisibility patterns ------------------------------------------------------
