@@ -93,6 +93,15 @@ def test_count_tiny_pairwise_r5_is_fast(capsys):
     assert (row["count"], row["method"]) == (266, "Toth")
 
 
+def test_count_pairwise_past_the_subset_cap_is_refused_fast(capsys):
+    # C(17, 2) = 136 subsets exceed ENGINE_MAX_SUBSETS on every route of auto
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "count", "--class", "pairwise", "-r", "17", "-n", "100")
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert "136 constrained subsets" in err
+
+
 def test_count_zero_alpha(capsys):
     code, out, _ = run_cli(
         capsys, "count", "-r", "2", "-n", "4", "--class", "mutual", "--alpha", "0,1"

@@ -390,13 +390,20 @@ def test_toth_bound_cap():
 
 
 def test_toth_memo_budget_is_per_call(monkeypatch):
-    # the first call stores 128 entries; a memo kept across calls would then
-    # have no room for the second call's 20
-    monkeypatch.setattr(counting, "_TOTH_MEMO_MAX", 130)
+    # the first call stores 20 entries (one per squarefree radical <= 30 and
+    # the top); a budget kept across calls would then have no room for the
+    # second call's 7
+    monkeypatch.setattr(counting, "_TOTH_MEMO_MAX", 21)
     assert count_toth((30, 30, 30)).count == count_box_bruteforce(
         Box.cube(30, 3), TupleConstraint.pairwise(3)
     ).count
     assert count_toth((7, 7, 7), 11).count == 133
+
+
+def test_toth_memo_budget_refuses(monkeypatch):
+    monkeypatch.setattr(counting, "_TOTH_MEMO_MAX", 19)
+    with pytest.raises(CapacityError):
+        count_toth((30, 30, 30))
 
 
 def test_toth_with_sides_equals_bruteforce_randomized():
@@ -460,6 +467,10 @@ def test_auto_route_by_subset_size_rank_and_bound():
     assert route(Box.cube(10, 4), TupleConstraint.kwise(4, 3)) == "Mobius"
     big = Box(bounds=(counting.TOTH_BOUND_CAP + 1, 2, 2), n=counting.TOTH_BOUND_CAP + 1)
     assert route(big, TupleConstraint.pairwise(3)) == "Mobius"
+    # C(16, 2) = 120 subsets stay within ENGINE_MAX_SUBSETS; C(17, 2) = 136 do not
+    assert route(Box.cube(2, 16), TupleConstraint.pairwise(16)) == "Toth"
+    with pytest.raises(CapacityError):
+        count_box(Box.cube(100, 17), TupleConstraint.pairwise(17))
 
 
 def test_toth_method_refuses_subsets_above_two():
