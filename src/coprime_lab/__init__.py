@@ -8,8 +8,8 @@ divisibility, or a residue class.  This package computes
 * the asymptotic density of such tuples, as a rigorously rounded interval
   (`density`, `pairwise_constant`, `kwise_constant`, `zeta_reciprocal`);
 * exact counts in finite boxes by several independent methods
-  (`count_box_bruteforce`, `count_mobius`, `count_mutual_mobius`,
-  `count_toth`, `pattern_count`, plus gcd/lcm weighted sums);
+  (`count_box_bruteforce`, `count_mobius`, `count_toth`, `pattern_count`,
+  plus gcd/lcm weighted sums);
 * the exact sup-discrepancy between the empirical distribution of the
   tuples and the uniform law (`build_grid`, `sup_discrepancy`, `rate_scan`);
 * reproducible Monte Carlo estimates (`estimate`).
@@ -54,7 +54,6 @@ from .counting import (
     count_box,
     count_box_bruteforce,
     count_mobius,
-    count_mutual_mobius,
     count_toth,
     member,
     member_bulk,
@@ -100,7 +99,6 @@ __all__ = [
     "count_box",
     "count_box_bruteforce",
     "count_mobius",
-    "count_mutual_mobius",
     "count_toth",
     "density",
     "estimate",

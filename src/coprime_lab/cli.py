@@ -4,8 +4,8 @@ campaigns, and discrepancy scans.
 Output is deterministic: JSON lines (default) or CSV with a fixed field
 order, floats rendered with 15 significant digits, and no timestamps or
 environment-dependent content.  Exit codes: 0 success (all verification
-rows PASS or UNSUPPORTED), 1 verification failure, 2 invalid input,
-3 unsupported formula, 4 capacity limit.
+rows PASS), 1 verification failure, 2 invalid input, 3 unsupported method,
+4 capacity limit.
 """
 
 from __future__ import annotations
@@ -484,57 +484,41 @@ def rows_from_campaign(path: str, args: argparse.Namespace) -> list[RowSpec]:
 def run_row(row: RowSpec) -> list[tuple[str, object]]:
     """Evaluate one row; the last pair but one is the verdict."""
     base = [("name", row.name), ("constraint", row.constraint.describe())]
-    tail_n = row.n
-    try:
-        if row.target is not None:
-            interval = row.target
-        else:
-            interval = constants.density(row.constraint)
-        if row.method == "montecarlo":
-            est = montecarlo.estimate(
-                row.constraint,
-                row.n,
-                samples=row.samples,
-                seed=row.seed,
-                confidence=row.confidence,
-            )
-            empirical = est.mean
-            mc = [
-                ("mc_samples", est.samples),
-                ("mc_seed", est.seed),
-                ("mc_confidence", est.confidence),
-                ("mc_half_width", est.half_width),
-            ]
-        else:
-            box = Box.cube(row.n, row.constraint.r)
-            count = counting.count_box(box, row.constraint).count
-            empirical = count / row.n**row.constraint.r
-            mc = [
-                ("mc_samples", None),
-                ("mc_seed", None),
-                ("mc_confidence", None),
-                ("mc_half_width", None),
-            ]
-    except UnsupportedError:
-        return base + [
-            ("lo", None),
-            ("hi", None),
-            ("midpoint", None),
-            ("n", tail_n),
-            ("empirical", None),
+    if row.target is not None:
+        interval = row.target
+    else:
+        interval = constants.density(row.constraint)
+    if row.method == "montecarlo":
+        est = montecarlo.estimate(
+            row.constraint,
+            row.n,
+            samples=row.samples,
+            seed=row.seed,
+            confidence=row.confidence,
+        )
+        empirical = est.mean
+        mc = [
+            ("mc_samples", est.samples),
+            ("mc_seed", est.seed),
+            ("mc_confidence", est.confidence),
+            ("mc_half_width", est.half_width),
+        ]
+    else:
+        box = Box.cube(row.n, row.constraint.r)
+        count = counting.count_box(box, row.constraint).count
+        empirical = count / row.n**row.constraint.r
+        mc = [
             ("mc_samples", None),
             ("mc_seed", None),
             ("mc_confidence", None),
             ("mc_half_width", None),
-            ("verdict", "UNSUPPORTED"),
-            ("tolerance", row.tolerance),
         ]
     ok = abs(empirical - interval.mid) <= row.tolerance and interval.width <= row.tolerance
     return base + [
         ("lo", interval.lo),
         ("hi", interval.hi),
         ("midpoint", interval.mid),
-        ("n", tail_n),
+        ("n", row.n),
         ("empirical", empirical),
         *mc,
         ("verdict", "PASS" if ok else "FAIL"),
@@ -572,18 +556,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     """
     from math import log
 
-    mutual = TupleConstraint.mutual
-    pairwise = TupleConstraint.pairwise
+    def ratios(constraint: TupleConstraint, ns: tuple[int, ...]) -> dict:
+        reports = discrepancy.rate_scan(ns, constraint)
+        return {"ns": list(ns), "ratios": [rep.rate_ratio for rep in reports]}
 
-    def ratios(constraint: TupleConstraint, ns: tuple[int, ...]) -> list[float]:
-        return [rep.rate_ratio for rep in discrepancy.rate_scan(ns, constraint)]
-
-    ns2 = (256, 512, 1024, 2048)
-    ns3 = (64, 128, 256)
+    # at r = 2 the mutual and pairwise classes are one set of tuples
+    rate_r2 = ratios(TupleConstraint.mutual(2), (256, 512, 1024, 2048))
     out: dict = {
-        "rate_mutual_r2": {"ns": list(ns2), "ratios": ratios(mutual(2), ns2)},
-        "rate_mutual_r3": {"ns": list(ns3), "ratios": ratios(mutual(3), ns3)},
-        "rate_pairwise_r2": {"ns": list(ns2), "ratios": ratios(pairwise(2), ns2)},
+        "rate_mutual_r2": rate_r2,
+        "rate_mutual_r3": ratios(TupleConstraint.mutual(3), (64, 128, 256)),
+        "rate_pairwise_r2": rate_r2,
     }
 
     gcd_ns = (1024, 4096)
@@ -700,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--method",
-        choices=("auto", "mobius", "bruteforce", "toth", "grid"),
+        choices=("auto", "mobius", "bruteforce", "toth"),
         default="auto",
     )
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

@@ -14,9 +14,10 @@ The three base constants are
   specializes to the two above at k = r and k = 2.
 
 ``density`` composes a base constant with an exact rational correction factor
-for the supported side conditions (per-coordinate coprimality, divisibility,
-residue classes, and block grouping); the factor is computed in exact
-arithmetic so the enclosure width only scales.
+for the side conditions (per-coordinate coprimality, divisibility, residue
+classes, and block grouping), in every class: the sides change the Euler
+factor only at the primes of their moduli, so the factor is a finite product
+of exact local-factor ratios and the enclosure width only scales.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from itertools import chain
 import numpy as np
 
 from . import arith
-from .constraints import MAX_R, CoprimeTo, DivisibleBy, Residue, TupleConstraint
-from .errors import CapacityError, UnsupportedError
+from .constraints import MAX_R, CoprimeTo, Residue, TupleConstraint
+from .errors import CapacityError
 
 DEFAULT_PRIME_CUTOFF = 10**6
 
@@ -198,102 +199,49 @@ def pairwise_constant(r: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Inter
 
 
 # ---------------------------------------------------------------------------
-# closed-form corrections for side conditions
+# side conditions: one local factor per prime of the moduli
 
 
-def _coprime_to_factor(kind: str, r: int, big_a: int) -> Fraction:
-    """Density ratio for "coordinate i coprime to a_i", a pairwise coprime."""
-    if kind == "pairwise":
-        return Fraction(arith.psi(r - 2, big_a), arith.psi(r - 1, big_a))
-    return Fraction(
-        arith.euler_phi(big_a) * big_a ** (r - 1), arith.jordan_totient(r, big_a)
-    )
+def _at_prime(side, p: int) -> tuple[int, int, int]:
+    """(n+, n-, d): x meets the side condition and p divides x with local
+    density q+ = n+/d, and meets it with p not dividing x with q- = n-/d."""
+    m, e = (1 if side is None else side.modulus), 0
+    while m % p == 0:
+        m, e = m // p, e + 1
+    if e == 0:
+        return 1, p - 1, p
+    if isinstance(side, CoprimeTo):
+        return 0, p - 1, p
+    if isinstance(side, Residue) and side.residue % p:
+        return 0, 1, p**e
+    return 1, 0, p**e
 
 
-def _divisible_factor(kind: str, r: int, big_a: int) -> Fraction:
-    """Density ratio for "a_i divides coordinate i", a pairwise coprime."""
-    if kind == "pairwise":
-        return Fraction(1, arith.psi(r - 1, big_a))
-    return Fraction(arith.jordan_totient(r - 1, big_a), arith.jordan_totient(r, big_a))
-
-
-def _residue_factor(kind: str, r: int, moduli, residues) -> Fraction:
-    """Density ratio for "coordinate i lies in residue b_i mod a_i".
-
-    Uses the convention gcd(a, 0) = a, under which b = 0 reduces exactly to
-    ``_divisible_factor`` (kept separate so the collapse is testable).
-    """
-    big_a = math.prod(moduli)
-    gs = [math.gcd(a, b) for a, b in zip(moduli, residues)]
-    if kind == "pairwise":
-        factor = Fraction(arith.psi(r - 2, big_a), arith.psi(r - 1, big_a))
-        factor /= arith.euler_phi(big_a)
-        for g in gs:
-            factor *= Fraction(arith.euler_phi(g), arith.psi(r - 2, g))
-        return factor
-    factor = Fraction(big_a**r, big_a * arith.jordan_totient(r, big_a))
-    for g in gs:
-        factor *= Fraction(arith.jordan_totient(r - 1, g), g ** (r - 1))
-    return factor
-
-
-def _grouping_factor(kind: str, r: int, blocks, moduli) -> Fraction:
-    """Density ratio for block grouping: all coordinates in block i coprime
-    to a_i, the a_i pairwise coprime."""
-    big_a = math.prod(moduli)
-    if kind == "pairwise":
-        factor = Fraction(1, arith.psi(r - 1, big_a))
-        for blk, a in zip(blocks, moduli):
-            factor *= arith.psi(r - len(blk) - 1, a)
-        return factor
-    factor = Fraction(big_a**r, arith.jordan_totient(r, big_a))
-    for blk, a in zip(blocks, moduli):
-        factor *= Fraction(arith.euler_phi(a), a) ** len(blk)
-    return factor
+def _local_factor(k: int, local: list[tuple[int, int, int]]) -> Fraction:
+    """f_p = sum_{j<k} [t^j] prod_i (q-_i + q+_i t): the local density at p of
+    "fewer than k coordinates are multiples of p", jointly with the sides."""
+    poly = [1]
+    for plus, minus, _ in local:
+        poly = [a * minus + b * plus for a, b in zip(poly + [0], [0] + poly)][:k]
+    return Fraction(sum(poly), math.prod(d for _, _, d in local))
 
 
 def correction_factor(constraint: TupleConstraint) -> Fraction:
     """The exact rational multiplier the side conditions apply to the base
-    density constant; 1 when there are no (nontrivial) side conditions.
+    density constant: prod over the primes p of the side moduli of
+    f_p(sides) / f_p(no sides); 1 when there are no nontrivial sides.
 
-    Raises UnsupportedError for combinations without a closed form:
-    any side condition on the kwise class, and mixtures of CoprimeTo with
-    DivisibleBy/Residue conditions.
+    The sides change the Euler factor only at the primes of their moduli, and
+    without sides f_p is P(Binomial(r, 1/p) <= k-1), the factor of
+    ``kwise_constant`` (Hu, Int. J. Number Theory 9, 2013).
     """
-    if constraint.blocks is not None:
-        return _grouping_factor(
-            constraint.kind, constraint.r, constraint.blocks, constraint.block_moduli
-        )
-
-    coprime_present = any(isinstance(s, CoprimeTo) for s in constraint.sides)
-    residue_present = any(isinstance(s, (DivisibleBy, Residue)) for s in constraint.sides)
-    nontrivial = any(
-        s is not None and s.modulus > 1 for s in constraint.sides
-    )
-    if not nontrivial:
-        return Fraction(1)
-    if constraint.kind == "kwise":
-        raise UnsupportedError(
-            "no closed-form density for k-wise coprimality with side conditions; "
-            "use the Monte Carlo estimator instead"
-        )
-    if coprime_present and residue_present:
-        raise UnsupportedError(
-            "no closed-form density for mixed CoprimeTo and DivisibleBy/Residue "
-            "side conditions"
-        )
-
-    if coprime_present:
-        big_a = math.prod(
-            s.modulus if s is not None else 1 for s in constraint.sides
-        )
-        return _coprime_to_factor(constraint.kind, constraint.r, big_a)
-
-    moduli = [s.modulus if s is not None else 1 for s in constraint.sides]
-    residues = [s.residue if isinstance(s, Residue) else 0 for s in constraint.sides]
-    if all(b == 0 for b in residues):
-        return _divisible_factor(constraint.kind, constraint.r, math.prod(moduli))
-    return _residue_factor(constraint.kind, constraint.r, moduli, residues)
+    sides, k = constraint.effective_sides(), constraint.effective_k
+    moduli = {s.modulus for s in sides if s is not None}
+    factor = Fraction(1)
+    for p in {p for a in moduli for p in arith.prime_divisors(a)}:
+        with_sides = _local_factor(k, [_at_prime(s, p) for s in sides])
+        factor *= with_sides / _local_factor(k, [_at_prime(None, p)] * constraint.r)
+    return factor
 
 
 def base_constant(constraint: TupleConstraint, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Interval:

@@ -26,7 +26,7 @@ from math import gcd, prod
 from .errors import CapacityError
 
 MAX_R = 64
-# The density formulas factor the product of the moduli by trial division
+# The density factor finds the primes of each modulus by trial division
 # (at most 10**6 steps under this cap), and the counting kernels evaluate
 # residues and gcds against each modulus in int64.
 MODULUS_PRODUCT_CAP = 10**12

@@ -4,7 +4,7 @@ Three counting routes, all integer-exact:
 
 * brute force (``count_box_bruteforce``) — enumeration with numpy-vectorized
   inner dimensions; the oracle everything else is checked against;
-* Möbius inclusion-exclusion (``count_mobius`` / ``count_mutual_mobius``) —
+* Möbius inclusion-exclusion (``count_mobius``) —
   one squarefree summation variable d_S per constrained coordinate subset S
   (the full index set for mutual, all pairs for pairwise, all k-subsets for
   k-wise).  Since membership in each class is exactly "gcd(x_S) = 1 for every
@@ -56,7 +56,6 @@ from . import arith
 from .constraints import (
     METHOD_BRUTEFORCE,
     METHOD_MOBIUS,
-    METHOD_PREFIX_GRID,
     METHOD_TOTH,
     Box,
     CoprimeTo,
@@ -616,26 +615,6 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
     return CountResult(count=total, constraint=constraint, box=box, method=METHOD_MOBIUS)
 
 
-def count_mutual_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
-    """The one-variable Möbius counter for the mutual class.
-
-    Accepts DivisibleBy/Residue side conditions; CoprimeTo (and grouping)
-    are outside this counter's contract and are refused — the general
-    ``count_mobius`` handles them.
-    """
-    if constraint.kind != "mutual":
-        raise UnsupportedError(
-            f"count_mutual_mobius requires the mutual class, got {constraint.kind}"
-        )
-    if constraint.blocks is not None or any(
-        isinstance(s, CoprimeTo) for s in constraint.sides
-    ):
-        raise UnsupportedError(
-            "count_mutual_mobius supports DivisibleBy/Residue side conditions only"
-        )
-    return count_mobius(box, constraint)
-
-
 def count_box(box: Box, constraint: TupleConstraint, method: str | None = None) -> CountResult:
     """Count with the requested method, or with the engine suited to the input.
 
@@ -665,13 +644,6 @@ def count_box(box: Box, constraint: TupleConstraint, method: str | None = None) 
             )
         res = count_toth(box.bounds, sides=constraint.effective_sides())
         return CountResult(count=res.count, constraint=constraint, box=box, method=METHOD_TOTH)
-    if method == "grid":
-        from . import discrepancy
-
-        grid = discrepancy.build_grid(box.n, constraint)
-        idx = tuple(b for b in box.bounds)
-        count = int(grid.cumulative[idx])
-        return CountResult(count=count, constraint=constraint, box=box, method=METHOD_PREFIX_GRID)
     raise ValueError(f"unknown counting method {method!r}")
 
 

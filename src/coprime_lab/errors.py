@@ -14,4 +14,4 @@ class CapacityError(CoprimeLabError):
 
 
 class UnsupportedError(CoprimeLabError):
-    """The constraint combination has no supported formula or counting method."""
+    """The requested counting method does not handle the constraint's class."""

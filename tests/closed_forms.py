@@ -1,0 +1,100 @@
+"""Closed-form side-condition density factors, kept as test oracles.
+
+Each family below was derived by hand for one kind of side condition in the
+mutual and pairwise classes, with pairwise-coprime moduli.  The library
+computes every factor from one per-prime local factor instead; these
+independent formulas certify it, as brute force certifies the counters.
+"""
+
+import math
+from fractions import Fraction
+from itertools import product
+
+from coprime_lab import arith
+from coprime_lab.constraints import CoprimeTo, DivisibleBy, Residue, TupleConstraint
+
+
+def pairwise_coprime_vectors(r: int, limit: int) -> list[tuple[int, ...]]:
+    """Every modulus vector in [1, limit]^r whose entries are pairwise coprime."""
+    return [
+        a
+        for a in product(range(1, limit + 1), repeat=r)
+        if all(math.gcd(a[i], a[j]) == 1 for i in range(r) for j in range(i + 1, r))
+    ]
+
+
+def coprime_to_factor(kind: str, r: int, big_a: int) -> Fraction:
+    """Density ratio for "coordinate i coprime to a_i", a pairwise coprime."""
+    if kind == "pairwise":
+        return Fraction(arith.psi(r - 2, big_a), arith.psi(r - 1, big_a))
+    return Fraction(
+        arith.euler_phi(big_a) * big_a ** (r - 1), arith.jordan_totient(r, big_a)
+    )
+
+
+def divisible_factor(kind: str, r: int, big_a: int) -> Fraction:
+    """Density ratio for "a_i divides coordinate i", a pairwise coprime."""
+    if kind == "pairwise":
+        return Fraction(1, arith.psi(r - 1, big_a))
+    return Fraction(arith.jordan_totient(r - 1, big_a), arith.jordan_totient(r, big_a))
+
+
+def residue_factor(kind: str, r: int, moduli, residues) -> Fraction:
+    """Density ratio for "coordinate i lies in residue b_i mod a_i".
+
+    Uses the convention gcd(a, 0) = a, under which b = 0 reduces exactly to
+    ``divisible_factor``.
+    """
+    big_a = math.prod(moduli)
+    gs = [math.gcd(a, b) for a, b in zip(moduli, residues)]
+    if kind == "pairwise":
+        factor = Fraction(arith.psi(r - 2, big_a), arith.psi(r - 1, big_a))
+        factor /= arith.euler_phi(big_a)
+        for g in gs:
+            factor *= Fraction(arith.euler_phi(g), arith.psi(r - 2, g))
+        return factor
+    factor = Fraction(big_a**r, big_a * arith.jordan_totient(r, big_a))
+    for g in gs:
+        factor *= Fraction(arith.jordan_totient(r - 1, g), g ** (r - 1))
+    return factor
+
+
+def grouping_factor(kind: str, r: int, blocks, moduli) -> Fraction:
+    """Density ratio for block grouping: all coordinates in block i coprime
+    to a_i, the a_i pairwise coprime."""
+    big_a = math.prod(moduli)
+    if kind == "pairwise":
+        factor = Fraction(1, arith.psi(r - 1, big_a))
+        for blk, a in zip(blocks, moduli):
+            factor *= arith.psi(r - len(blk) - 1, a)
+        return factor
+    factor = Fraction(big_a**r, arith.jordan_totient(r, big_a))
+    for blk, a in zip(blocks, moduli):
+        factor *= Fraction(arith.euler_phi(a), a) ** len(blk)
+    return factor
+
+
+def closed_form_factor(constraint: TupleConstraint) -> Fraction | None:
+    """The factor from the family that covers ``constraint``, or None when no
+    family does: sides in a k-wise class with 2 < k < r, or CoprimeTo mixed
+    with DivisibleBy/Residue.  k-wise with k = 2 or k = r is read as the
+    pairwise or the mutual class."""
+    kind = constraint.kind
+    if kind == "kwise":
+        kind = {2: "pairwise", constraint.r: "mutual"}.get(constraint.k)
+    r = constraint.r
+    if constraint.blocks is not None:
+        return grouping_factor(kind, r, constraint.blocks, constraint.block_moduli)
+    sides = [s for s in constraint.sides if s is not None and s.modulus > 1]
+    if not sides:
+        return Fraction(1)
+    coprime = [s for s in sides if isinstance(s, CoprimeTo)]
+    if kind is None or 0 < len(coprime) < len(sides):
+        return None
+    big_a = math.prod(s.modulus for s in sides)
+    if coprime:
+        return coprime_to_factor(kind, r, big_a)
+    if all(isinstance(s, DivisibleBy) or s.residue == 0 for s in sides):
+        return divisible_factor(kind, r, big_a)
+    residues = [s.residue if isinstance(s, Residue) else 0 for s in sides]
+    return residue_factor(kind, r, [s.modulus for s in sides], residues)

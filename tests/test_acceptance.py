@@ -18,10 +18,6 @@ from pathlib import Path
 
 from coprime_lab import arith, cli
 from coprime_lab.constants import (
-    _coprime_to_factor,
-    _divisible_factor,
-    _grouping_factor,
-    _residue_factor,
     correction_factor,
     density,
     kwise_constant,
@@ -33,7 +29,6 @@ from coprime_lab.counting import (
     PatternMatrix,
     count_box_bruteforce,
     count_mobius,
-    count_mutual_mobius,
     count_toth,
     pattern_count,
     weighted_sum_gcd,
@@ -41,6 +36,14 @@ from coprime_lab.counting import (
 )
 from coprime_lab.discrepancy import build_grid, measure_cdf_error, rate_scan
 from coprime_lab.montecarlo import estimate
+
+from closed_forms import (
+    coprime_to_factor,
+    divisible_factor,
+    grouping_factor,
+    pairwise_coprime_vectors,
+    residue_factor,
+)
 
 CALIBRATION = Path(__file__).parent / "data" / "calibration.json"
 
@@ -50,21 +53,13 @@ def _verdict(ok: bool, label: str, detail: str) -> None:
     assert ok, f"{label}: {detail}"
 
 
-def _pairwise_coprime_vectors(r: int, limit: int) -> list[tuple[int, ...]]:
-    return [
-        a
-        for a in product(range(1, limit + 1), repeat=r)
-        if all(gcd(a[i], a[j]) == 1 for i in range(r) for j in range(i + 1, r))
-    ]
-
-
 def _overlaps(a, b) -> bool:
     return not (a.hi < b.lo or b.hi < a.lo)
 
 
 def test_1_mutual_density_exact_counts():
-    d2 = count_mutual_mobius(Box.cube(10_000, 2), TupleConstraint.mutual(2)).count / 10_000**2
-    d3 = count_mutual_mobius(Box.cube(1000, 3), TupleConstraint.mutual(3)).count / 1000**3
+    d2 = count_mobius(Box.cube(10_000, 2), TupleConstraint.mutual(2)).count / 10_000**2
+    d3 = count_mobius(Box.cube(1000, 3), TupleConstraint.mutual(3)).count / 1000**3
     e2 = abs(d2 - zeta_reciprocal(2).mid)
     e3 = abs(d3 - zeta_reciprocal(3).mid)
     _verdict(
@@ -97,24 +92,15 @@ def test_3_kwise_density_bruteforce_and_identity():
     )
 
 
-def _empirical_count(constraint: TupleConstraint, n: int) -> int:
-    box = Box.cube(n, constraint.r)
-    if constraint.kind == "mutual" and not any(
-        isinstance(s, CoprimeTo) for s in constraint.sides
-    ):
-        return count_mutual_mobius(box, constraint).count
-    return count_mobius(box, constraint).count
-
-
 def test_4_side_condition_formulas_and_collapses():
     n = 5040
     worst = 0.0
     cases = 0
     for r in (2, 3):
         vol = n**r
-        mod10 = _pairwise_coprime_vectors(r, 10)
+        mod10 = pairwise_coprime_vectors(r, 10)
         assert len(mod10) == {2: 63, 3: 280}[r]
-        mod6 = _pairwise_coprime_vectors(r, 6)
+        mod6 = pairwise_coprime_vectors(r, 6)
         instances = [
             tuple(make(ai) if ai > 1 else None for ai in a)
             for make in (CoprimeTo, DivisibleBy)
@@ -129,7 +115,7 @@ def test_4_side_condition_formulas_and_collapses():
         for kind in ("mutual", "pairwise"):
             for sides in instances:
                 c = getattr(TupleConstraint, kind)(r, sides if any(sides) else None)
-                dev = abs(_empirical_count(c, n) / vol - density(c).mid)
+                dev = abs(count_mobius(Box.cube(n, r), c).count / vol - density(c).mid)
                 worst = max(worst, dev)
                 cases += 1
 
@@ -139,16 +125,16 @@ def test_4_side_condition_formulas_and_collapses():
         singles = tuple((i,) for i in range(r))
         whole = (tuple(range(r)),)
         for kind in ("mutual", "pairwise"):
-            for a in _pairwise_coprime_vectors(r, 6):
-                exact_ok &= _residue_factor(kind, r, a, (0,) * r) == _divisible_factor(
+            for a in pairwise_coprime_vectors(r, 6):
+                exact_ok &= residue_factor(kind, r, a, (0,) * r) == divisible_factor(
                     kind, r, prod(a)
                 )
-            for a in _pairwise_coprime_vectors(r, 10):
-                exact_ok &= _grouping_factor(kind, r, singles, a) == _coprime_to_factor(
+            for a in pairwise_coprime_vectors(r, 10):
+                exact_ok &= grouping_factor(kind, r, singles, a) == coprime_to_factor(
                     kind, r, prod(a)
                 )
         for u in range(1, 11):
-            exact_ok &= _grouping_factor("pairwise", r, whole, (u,)) == arith.toth_factor(r, u)
+            exact_ok &= grouping_factor("pairwise", r, whole, (u,)) == arith.toth_factor(r, u)
             exact_ok &= correction_factor(
                 TupleConstraint.grouped("pairwise", r, whole, (u,))
             ) == arith.toth_factor(r, u)
@@ -168,7 +154,7 @@ def test_5_counter_equivalence_zero_tolerance():
         c = TupleConstraint.mutual(r)
         grid = build_grid(n_max, c)
         for bounds in product(range(n_max + 1), repeat=r):
-            got = count_mutual_mobius(Box(bounds=bounds, n=n_max), c).count
+            got = count_mobius(Box(bounds=bounds, n=n_max), c).count
             bad += got != int(grid.cumulative[bounds])
             boxes += 1
 

@@ -12,7 +12,8 @@ DATA = Path(__file__).parent / "data"
 FAIL_FIXTURE = str(DATA / "failing-campaign.ini")
 
 from coprime_lab import cli
-from coprime_lab.constraints import Box, Residue, TupleConstraint
+from coprime_lab.constants import density
+from coprime_lab.constraints import Box, CoprimeTo, Residue, TupleConstraint
 from coprime_lab.counting import count_box
 
 
@@ -42,13 +43,16 @@ def test_constant_csv_header(capsys):
     assert row.startswith("pairwise r=3,0.28674")
 
 
-def test_constant_unsupported_exit_code(capsys):
-    code, out, err = run_cli(
+def test_constant_kwise_with_sides_exit_zero(capsys):
+    code, out, _ = run_cli(
         capsys, "constant", "--class", "kwise", "-k", "2", "-r", "3", "--coprime-to", "5,1,1"
     )
-    assert code == 3
-    assert out == ""
-    assert "unsupported" in err
+    assert code == 0
+    row = json.loads(out)
+    c = TupleConstraint.kwise(3, 2, (CoprimeTo(5), None, None))
+    assert row["constraint"] == c.describe()
+    assert row["lo"] == pytest.approx(density(c).lo, rel=1e-14)
+    assert row["hi"] == pytest.approx(density(c).hi, rel=1e-14)
 
 
 def test_constant_invalid_sides(capsys):
@@ -151,6 +155,15 @@ def test_count_grouped_toth(capsys):
     )
     assert code == 0
     assert json.loads(out)["count"] == 700
+
+
+def test_count_unsupported_method_exit_code(capsys):
+    code, out, err = run_cli(
+        capsys, "count", "--class", "mutual", "-r", "3", "-n", "10", "--method", "toth"
+    )
+    assert code == 3
+    assert out == ""
+    assert "unsupported" in err
 
 
 def test_count_capacity_exit(capsys):
@@ -257,14 +270,15 @@ def test_verify_failing_fixture_exits_one(capsys):
     assert row["midpoint"] == pytest.approx(0.90005)
 
 
-def test_verify_unsupported_row_keeps_exit_zero(tmp_path, capsys):
-    campaign = tmp_path / "unsup.ini"
+def test_verify_kwise_sides_row_passes(tmp_path, capsys):
+    campaign = tmp_path / "ksides.ini"
     campaign.write_text("[ksides]\nclass = kwise\nr = 3\nk = 2\ncoprime-to = 5,1,1\n")
     code, out, _ = run_cli(capsys, "verify", str(campaign))
     assert code == 0
     row = json.loads(out)
-    assert row["verdict"] == "UNSUPPORTED"
-    assert row["lo"] is None and row["empirical"] is None
+    assert row["verdict"] == "PASS"
+    assert 0 < row["lo"] <= row["hi"] < 1
+    assert abs(row["empirical"] - row["midpoint"]) <= row["tolerance"]
 
 
 def test_verify_empty_campaign(tmp_path, capsys):

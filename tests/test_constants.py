@@ -2,6 +2,7 @@
 correction factors for side conditions."""
 
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
@@ -18,8 +19,10 @@ from coprime_lab.constants import (
     zeta,
     zeta_reciprocal,
 )
-from coprime_lab.constraints import CoprimeTo, DivisibleBy, Residue, TupleConstraint
-from coprime_lab.errors import UnsupportedError
+from coprime_lab.constraints import Box, CoprimeTo, DivisibleBy, Residue, TupleConstraint
+from coprime_lab.counting import count_box
+
+from closed_forms import closed_form_factor, pairwise_coprime_vectors
 
 mpmath.mp.dps = 40
 
@@ -170,8 +173,7 @@ def test_residue_factor_worked_instance():
 
 
 def test_residue_collapse_onto_divisible():
-    """All-zero residues mean plain divisibility; the two formulas are
-    computed by different code paths and must agree exactly."""
+    """All-zero residues mean plain divisibility, so the factors agree exactly."""
     cases = [
         ("mutual", 2, (2, 3)),
         ("pairwise", 2, (4, 9)),
@@ -215,11 +217,75 @@ def test_density_multiplies_base_and_factor():
     assert iv.hi <= base.hi * float(Fraction(1, 12)) + 1e-15
 
 
-def test_unsupported_combinations():
-    with pytest.raises(UnsupportedError):
-        density(TupleConstraint.kwise(3, 2, (CoprimeTo(5), None, None)))
-    with pytest.raises(UnsupportedError):
-        density(TupleConstraint.mutual(2, (CoprimeTo(5), DivisibleBy(3))))
+def _set_partitions(items: tuple[int, ...]):
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + ((first,) + part[i],) + part[i + 1 :]
+        yield ((first,),) + part
+
+
+def test_local_factor_equals_closed_forms():
+    """The per-prime local factor reproduces every hand-derived family exactly:
+    CoprimeTo and DivisibleBy sides with moduli <= 10 (<= 6 at r = 4), every
+    residue tuple with moduli <= 6 (<= 4 at r = 4), every class and k, and
+    every grouping with one block modulus u <= 30 or several moduli <= 6."""
+    cases = 0
+    for r in (2, 3, 4):
+        side_sets = [
+            tuple(make(a) if a > 1 else None for a in vec)
+            for make in (CoprimeTo, DivisibleBy)
+            for vec in pairwise_coprime_vectors(r, 10 if r < 4 else 6)
+        ]
+        side_sets += [
+            tuple(Residue(a, b) if a > 1 else None for a, b in zip(vec, res))
+            for vec in pairwise_coprime_vectors(r, 6 if r < 4 else 4)
+            for res in product(*[range(a) for a in vec])
+        ]
+        classes = [("mutual", None), ("pairwise", None)]
+        classes += [("kwise", k) for k in range(2, r + 1)]
+        constraints = [
+            TupleConstraint(r=r, kind=kind, k=k, sides=sides)
+            for kind, k in classes
+            for sides in side_sets
+        ]
+        for blocks in _set_partitions(tuple(range(r))):
+            limit = 30 if len(blocks) == 1 else 6
+            for moduli in pairwise_coprime_vectors(len(blocks), limit):
+                for kind in ("mutual", "pairwise"):
+                    constraints.append(TupleConstraint.grouped(kind, r, blocks, moduli))
+        for c in constraints:
+            want = closed_form_factor(c)
+            if want is not None:
+                assert correction_factor(c) == want, c.describe()
+                cases += 1
+    assert cases > 10_000
+
+
+def _deviations(c: TupleConstraint, ns: tuple[int, ...]) -> list[float]:
+    mid = density(c).mid
+    return [abs(count_box(Box.cube(n, c.r), c).count / n**c.r - mid) for n in ns]
+
+
+def test_kwise_coprime_to_density_matches_counts():
+    c = TupleConstraint.kwise(3, 2, (CoprimeTo(5), None, None))
+    small, large = _deviations(c, (500, 2000))
+    assert large < small and large < 1e-3
+
+
+def test_mutual_mixed_sides_density_matches_counts():
+    c = TupleConstraint.mutual(2, (CoprimeTo(5), DivisibleBy(3)))
+    small, large = _deviations(c, (10**4, 10**5))
+    assert large < small and large < 1e-6
+
+
+def test_kwise_mixed_sides_density_matches_counts():
+    c = TupleConstraint.kwise(4, 3, (CoprimeTo(2), DivisibleBy(3), None, None))
+    small, large = _deviations(c, (40, 80))
+    assert large < small and large < 2e-3
 
 
 def test_trivial_sides_do_not_change_the_constant():

@@ -26,7 +26,6 @@ from coprime_lab.counting import (
     count_box,
     count_box_bruteforce,
     count_mobius,
-    count_mutual_mobius,
     count_toth,
     member,
     member_bulk,
@@ -99,7 +98,6 @@ def test_methods_agree_on_medium_cube():
     reference = count_box_bruteforce(box, c).count
     assert count_mobius(box, c).count == reference
     assert count_box(box, c, method="toth").count == reference
-    assert count_box(box, c, method="grid").count == reference
 
 
 def test_count_result_carries_method_names():
@@ -107,7 +105,6 @@ def test_count_result_carries_method_names():
     c = TupleConstraint.mutual(2)
     assert count_box(box, c).method == "Mobius"
     assert count_box_bruteforce(box, c).method == "BruteForce"
-    assert count_box(box, c, method="grid").method == "PrefixGrid"
     with pytest.raises(ValueError):
         count_box(box, c, method="divination")
 
@@ -174,15 +171,6 @@ def test_grouped_constraints_count_like_their_sides():
         assert count_mobius(box, g).count == count_box_bruteforce(box, g).count
 
 
-def test_count_mutual_mobius_rejects_non_mutual():
-    with pytest.raises(UnsupportedError):
-        count_mutual_mobius(Box.cube(10, 2), TupleConstraint.pairwise(2))
-    with pytest.raises(UnsupportedError):
-        count_mutual_mobius(
-            Box.cube(10, 2), TupleConstraint.mutual(2, (CoprimeTo(3), None))
-        )
-
-
 def test_count_mutual_mobius_with_sides_matches_brute_up_to_128():
     # divisibility / residue side conditions with moduli <= 10, ragged boxes
     rng = random.Random(128)
@@ -210,7 +198,7 @@ def test_count_mutual_mobius_with_sides_matches_brute_up_to_128():
         c = TupleConstraint.mutual(r, sides if any(sides) else None)
         hi = 128 if r == 2 else 64
         box = Box(bounds=tuple(rng.randint(0, hi) for _ in range(r)), n=hi)
-        got = count_mutual_mobius(box, c).count
+        got = count_mobius(box, c).count
         want = count_box_bruteforce(box, c).count
         assert got == want, (c.describe(), box.bounds)
 
