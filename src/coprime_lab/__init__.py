@@ -33,7 +33,6 @@ from .arith import (
 from .constants import (
     Interval,
     base_constant,
-    binomial_cdf,
     correction_factor,
     density,
     kwise_constant,
@@ -92,7 +91,6 @@ __all__ = [
     "TupleConstraint",
     "UnsupportedError",
     "base_constant",
-    "binomial_cdf",
     "build_grid",
     "build_tables",
     "correction_factor",

@@ -184,31 +184,7 @@ def _build_constraint(
     coprime_to: str | None = None,
     divisible: str | None = None,
     residue: str | None = None,
-    blocks: str | None = None,
-    block_moduli: str | None = None,
 ) -> TupleConstraint:
-    if blocks is not None or block_moduli is not None:
-        if blocks is None or block_moduli is None:
-            raise ValueError("--blocks and --block-moduli must be given together")
-        if coprime_to is not None or divisible is not None or residue is not None:
-            raise ValueError("grouping excludes per-coordinate side flags")
-        labels = _parse_ints(blocks, "--blocks")
-        if len(labels) != r:
-            raise ValueError(f"--blocks needs {r} labels, got {len(labels)}")
-        order: list[int] = []
-        for lab in labels:
-            if lab not in order:
-                order.append(lab)
-        groups = tuple(
-            tuple(i for i, lab in enumerate(labels) if lab == want) for want in order
-        )
-        moduli = _parse_ints(block_moduli, "--block-moduli")
-        if len(moduli) != len(order):
-            raise ValueError(
-                f"--block-moduli needs one entry per block ({len(order)}), got {len(moduli)}"
-            )
-        return TupleConstraint.grouped(cls, r, groups, moduli)
-
     sides = _build_sides(r, coprime_to, divisible, residue)
     if cls == "mutual":
         if k is not None:
@@ -231,8 +207,6 @@ def _constraint_from_args(args: argparse.Namespace) -> TupleConstraint:
         coprime_to=args.coprime_to,
         divisible=args.divisible,
         residue=args.residue,
-        blocks=args.blocks,
-        block_moduli=args.block_moduli,
     )
 
 
@@ -263,18 +237,6 @@ def _add_constraint_flags(sp: argparse.ArgumentParser, required: bool = True) ->
         metavar="A1:B1,...,AR:BR",
         default=None,
         help="per-coordinate congruences x_i = B_i mod A_i (1:0 = none)",
-    )
-    sp.add_argument(
-        "--blocks",
-        metavar="L1,...,LR",
-        default=None,
-        help="block label per coordinate for grouped coprimality conditions",
-    )
-    sp.add_argument(
-        "--block-moduli",
-        metavar="U1,...,UM",
-        default=None,
-        help="modulus per block, in order of first appearance in --blocks",
     )
 
 
@@ -409,8 +371,6 @@ _CAMPAIGN_KEYS = {
     "coprime-to",
     "divisible",
     "residue",
-    "blocks",
-    "block-moduli",
     "n",
     "tolerance",
     "method",
@@ -472,8 +432,6 @@ def rows_from_campaign(path: str, args: argparse.Namespace) -> list[RowSpec]:
             coprime_to=sec.get("coprime-to"),
             divisible=sec.get("divisible"),
             residue=sec.get("residue"),
-            blocks=sec.get("blocks"),
-            block_moduli=sec.get("block-moduli"),
         )
         rows.append(
             RowSpec(section, constraint, n, tolerance, method, samples, seed, confidence, target)

@@ -14,8 +14,8 @@ The three base constants are
   specializes to the two above at k = r and k = 2.
 
 ``density`` composes a base constant with an exact rational correction factor
-for the side conditions (per-coordinate coprimality, divisibility, residue
-classes, and block grouping), in every class: the sides change the Euler
+for the side conditions (per-coordinate coprimality, divisibility, and
+residue classes, with any moduli), in every class: the sides change the Euler
 factor only at the primes of their moduli, so the factor is a finite product
 of exact local-factor ratios and the enclosure width only scales.
 """
@@ -82,6 +82,8 @@ class Interval:
         """Scale by an exact nonnegative rational, rounding outward."""
         if f < 0:
             raise ValueError("only nonnegative scale factors are meaningful here")
+        if f == 0:
+            return Interval(0.0, 0.0)
         lo = _dn(float(Fraction(self.lo) * f))
         hi = _up(float(Fraction(self.hi) * f))
         return Interval(lo, hi)
@@ -110,13 +112,13 @@ def zeta(r: int) -> Interval:
     m_terms = max(64, math.ceil(target ** (1.0 / r)))
     if m_terms**r < 2**53:
         # every m**r is exact in int64 and in float64, so each term is the
-        # same correctly rounded quotient as 1.0 / (m**r) in Python; blocks
+        # same correctly rounded quotient as 1.0 / (m**r) in Python; chunks
         # of 2**16 keep the float list small
-        blocks = (
+        chunks = (
             np.arange(lo, min(lo + 2**16, m_terms + 1), dtype=np.int64) ** r
             for lo in range(1, m_terms + 1, 2**16)
         )
-        terms = chain.from_iterable((1.0 / b.astype(np.float64)).tolist() for b in blocks)
+        terms = chain.from_iterable((1.0 / b.astype(np.float64)).tolist() for b in chunks)
     else:
         terms = (1.0 / (m**r) for m in range(1, m_terms + 1))
     partial = math.fsum(terms)
@@ -131,20 +133,6 @@ def zeta(r: int) -> Interval:
 
 def zeta_reciprocal(r: int) -> Interval:
     return zeta(r).reciprocal()
-
-
-def binomial_cdf(r: int, p_inv: Fraction, h: int) -> Fraction:
-    """Exact P(Binomial(r, p_inv) <= h) as a rational."""
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    if not 0 <= h <= r:
-        raise ValueError(f"h must lie in [0, r={r}], got {h}")
-    q = Fraction(p_inv)
-    if not 0 <= q <= 1:
-        raise ValueError(f"p_inv must lie in [0, 1], got {p_inv!r}")
-    return sum(
-        Fraction(math.comb(r, j)) * q**j * (1 - q) ** (r - j) for j in range(h + 1)
-    )
 
 
 @lru_cache(maxsize=8)
@@ -235,7 +223,7 @@ def correction_factor(constraint: TupleConstraint) -> Fraction:
     without sides f_p is P(Binomial(r, 1/p) <= k-1), the factor of
     ``kwise_constant`` (Hu, Int. J. Number Theory 9, 2013).
     """
-    sides, k = constraint.effective_sides(), constraint.effective_k
+    sides, k = constraint.sides, constraint.effective_k
     moduli = {s.modulus for s in sides if s is not None}
     factor = Fraction(1)
     for p in {p for a in moduli for p in arith.prime_divisors(a)}:

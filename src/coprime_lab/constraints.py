@@ -6,15 +6,12 @@ A ``TupleConstraint`` describes a set of positive r-tuples by
   (every pair has gcd 1), or ``kwise`` (every k of them have gcd 1;
   ``k = 2`` is pairwise, ``k = r`` is mutual), and
 * one optional side condition per coordinate: coprime to a fixed modulus,
-  divisible by it, or congruent to a fixed residue mod it, and
-* alternatively a *grouping*: a partition of the coordinates into blocks,
-  each block sharing one coprime-to modulus (this is how "several coordinates
-  coprime to the same a" is expressed, since plain per-coordinate sides
-  require distinct pairwise-coprime moduli).
+  divisible by it, or congruent to a fixed residue mod it.  The moduli of
+  different coordinates may share primes; "several coordinates coprime to
+  the same u" is the same ``CoprimeTo(u)`` on each of them.
 
-Whenever side conditions or grouping carry moduli, the nontrivial moduli must
-be pairwise coprime, and their product may not exceed ``MODULUS_PRODUCT_CAP``;
-both are checked at construction.
+The product of the distinct nontrivial side moduli may not exceed
+``MODULUS_PRODUCT_CAP``; this is checked at construction.
 """
 
 from __future__ import annotations
@@ -66,21 +63,6 @@ class Residue:
 Side = CoprimeTo | DivisibleBy | Residue | None
 
 
-def _side_modulus(side: Side) -> int:
-    return 1 if side is None else side.modulus
-
-
-def _check_pairwise_coprime(values: tuple[int, ...], what: str) -> None:
-    nontrivial = [v for v in values if v > 1]
-    for i in range(len(nontrivial)):
-        for j in range(i + 1, len(nontrivial)):
-            if gcd(nontrivial[i], nontrivial[j]) != 1:
-                raise ValueError(
-                    f"{what} must be pairwise coprime; "
-                    f"gcd({nontrivial[i]}, {nontrivial[j]}) > 1"
-                )
-
-
 @dataclass(frozen=True)
 class TupleConstraint:
     """An r-tuple coprimality class plus per-coordinate side conditions."""
@@ -89,8 +71,6 @@ class TupleConstraint:
     kind: str  # "mutual" | "pairwise" | "kwise"
     k: int | None = None
     sides: tuple[Side, ...] = ()
-    blocks: tuple[tuple[int, ...], ...] | None = None
-    block_moduli: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.r, int) or not 2 <= self.r <= MAX_R:
@@ -118,31 +98,10 @@ class TupleConstraint:
                 raise ValueError(
                     f"residue must lie in [0, modulus), got {side.residue} mod {side.modulus}"
                 )
-        _check_pairwise_coprime(
-            tuple(_side_modulus(s) for s in self.sides), "side-condition moduli"
-        )
-
-        if (self.blocks is None) != (self.block_moduli is None):
-            raise ValueError("blocks and block_moduli must be given together")
-        if self.blocks is not None:
-            if self.kind not in ("mutual", "pairwise"):
-                raise ValueError("grouping mode requires the mutual or pairwise class")
-            if any(s is not None for s in self.sides):
-                raise ValueError("grouping mode requires all side conditions None")
-            if len(self.blocks) != len(self.block_moduli):
-                raise ValueError("one modulus per block required")
-            seen = sorted(i for blk in self.blocks for i in blk)
-            if seen != list(range(self.r)) or any(not blk for blk in self.blocks):
-                raise ValueError(
-                    f"blocks must partition the coordinates 0..{self.r - 1} into nonempty sets"
-                )
-            if any(a < 1 for a in self.block_moduli):
-                raise ValueError("block moduli must be >= 1")
-            _check_pairwise_coprime(tuple(self.block_moduli), "block moduli")
-        moduli = prod(_side_modulus(s) for s in self.sides) * prod(self.block_moduli or ())
+        moduli = prod({s.modulus for s in self.sides if s is not None})
         if moduli > MODULUS_PRODUCT_CAP:
             raise CapacityError(
-                f"product of the side and block moduli {moduli} exceeds the cap "
+                f"product of the distinct side moduli {moduli} exceeds the cap "
                 f"{MODULUS_PRODUCT_CAP}"
             )
 
@@ -160,16 +119,6 @@ class TupleConstraint:
     def kwise(cls, r: int, k: int, sides: tuple[Side, ...] = ()) -> "TupleConstraint":
         return cls(r=r, kind="kwise", k=k, sides=sides)
 
-    @classmethod
-    def grouped(
-        cls,
-        kind: str,
-        r: int,
-        blocks: tuple[tuple[int, ...], ...],
-        moduli: tuple[int, ...],
-    ) -> "TupleConstraint":
-        return cls(r=r, kind=kind, blocks=tuple(map(tuple, blocks)), block_moduli=tuple(moduli))
-
     # -- derived views ------------------------------------------------------
 
     @property
@@ -186,34 +135,19 @@ class TupleConstraint:
         the class is exactly the conjunction over these subsets."""
         return tuple(combinations(range(self.r), self.effective_k))
 
-    def effective_sides(self) -> tuple[Side, ...]:
-        """Per-coordinate conditions with grouping materialized as CoprimeTo."""
-        if self.blocks is None:
-            return self.sides
-        out: list[Side] = [None] * self.r
-        for blk, a in zip(self.blocks, self.block_moduli):
-            for i in blk:
-                out[i] = None if a == 1 else CoprimeTo(a)
-        return tuple(out)
-
     def describe(self) -> str:
         """Compact one-line rendering for CLI output and error messages."""
         name = self.kind if self.kind != "kwise" else f"kwise(k={self.k})"
         parts = [f"{name} r={self.r}"]
-        if self.blocks is not None:
-            blk = "|".join(",".join(str(i + 1) for i in b) for b in self.blocks)
-            mods = ",".join(map(str, self.block_moduli))
-            parts.append(f"blocks={blk} moduli={mods}")
-        else:
-            for i, side in enumerate(self.sides):
-                if side is None:
-                    continue
-                if isinstance(side, CoprimeTo):
-                    parts.append(f"x{i + 1}⊥{side.modulus}")
-                elif isinstance(side, DivisibleBy):
-                    parts.append(f"{side.modulus}|x{i + 1}")
-                else:
-                    parts.append(f"x{i + 1}≡{side.residue}({side.modulus})")
+        for i, side in enumerate(self.sides):
+            if side is None:
+                continue
+            if isinstance(side, CoprimeTo):
+                parts.append(f"x{i + 1}⊥{side.modulus}")
+            elif isinstance(side, DivisibleBy):
+                parts.append(f"{side.modulus}|x{i + 1}")
+            else:
+                parts.append(f"x{i + 1}≡{side.residue}({side.modulus})")
         return " ".join(parts)
 
 
@@ -267,7 +201,6 @@ class Box:
 METHOD_BRUTEFORCE = "BruteForce"
 METHOD_MOBIUS = "Mobius"
 METHOD_TOTH = "Toth"
-METHOD_PREFIX_GRID = "PrefixGrid"
 
 
 @dataclass(frozen=True)
@@ -284,10 +217,5 @@ class CountResult:
             raise ValueError(
                 f"count {self.count} outside [0, volume={self.box.volume()}]"
             )
-        if self.method not in (
-            METHOD_BRUTEFORCE,
-            METHOD_MOBIUS,
-            METHOD_TOTH,
-            METHOD_PREFIX_GRID,
-        ):
+        if self.method not in (METHOD_BRUTEFORCE, METHOD_MOBIUS, METHOD_TOTH):
             raise ValueError(f"unknown method tag {self.method!r}")

@@ -119,7 +119,7 @@ def member(x: tuple[int, ...], constraint: TupleConstraint) -> bool:
         raise ValueError(f"expected {constraint.r} coordinates, got {len(x)}")
     if any(v < 1 for v in x):
         raise ValueError(f"coordinates must be positive, got {x}")
-    for v, side in zip(x, constraint.effective_sides()):
+    for v, side in zip(x, constraint.sides):
         if side is not None and not side.admits(v):
             return False
     if constraint.kind == "mutual":
@@ -148,7 +148,7 @@ def member_bulk(cols: list[np.ndarray], constraint: TupleConstraint) -> np.ndarr
     `member`, which the tests pin down) so batches stay in numpy.
     """
     mask = np.ones(len(cols[0]), dtype=bool)
-    for col, side in zip(cols, constraint.effective_sides()):
+    for col, side in zip(cols, constraint.sides):
         if side is None:
             continue
         if isinstance(side, CoprimeTo):
@@ -231,7 +231,7 @@ def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
         )
     vals = [
         _allowed_values(b, side)
-        for b, side in zip(box.bounds, constraint.effective_sides())
+        for b, side in zip(box.bounds, constraint.sides)
     ]
     if any(len(v) == 0 for v in vals):
         count = 0
@@ -582,13 +582,13 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
         )
     if min(box.bounds) == 0:
         return CountResult(count=0, constraint=constraint, box=box, method=METHOD_MOBIUS)
-    if len(subsets) == 1 and all(s is None for s in constraint.effective_sides()):
+    if len(subsets) == 1 and all(s is None for s in constraint.sides):
         _check_bound_cap(box.bounds, MUTUAL_BOUND_CAP, "mutual-count")
         count = _mutual_sum(box.bounds, _mertens(box.bounds))
         return CountResult(count=count, constraint=constraint, box=box, method=METHOD_MOBIUS)
     tables = shared_tables(max(box.bounds))
     counts = [
-        _side_counts(b, side) for b, side in zip(box.bounds, constraint.effective_sides())
+        _side_counts(b, side) for b, side in zip(box.bounds, constraint.sides)
     ]
     # A row's product is at most the volume in size, so int64 holds the sum
     # of a slice of _ROW_SLICE rows when volume * _ROW_SLICE is below 2**63.
@@ -642,7 +642,7 @@ def count_box(box: Box, constraint: TupleConstraint, method: str | None = None) 
             raise UnsupportedError(
                 "the recursive counter handles the pairwise class (subset size 2) only"
             )
-        res = count_toth(box.bounds, sides=constraint.effective_sides())
+        res = count_toth(box.bounds, sides=constraint.sides)
         return CountResult(count=res.count, constraint=constraint, box=box, method=METHOD_TOTH)
     raise ValueError(f"unknown counting method {method!r}")
 
@@ -678,9 +678,9 @@ def count_toth(bounds: tuple[int, ...], u: int = 1, sides=None) -> CountResult:
     sum of the coprimality mask.  The cost grows with the number of distinct
     prime sets the peeled coordinates can accumulate, so steeply with r.
 
-    A result without sides is tagged with the pairwise class (grouped with
-    modulus u when u > 1); with sides it carries no constraint, since
-    ``count_box`` tags its own result with the caller's.
+    A result without sides is tagged with the pairwise class (with the side
+    ``CoprimeTo(u)`` on every coordinate when u > 1); with sides it carries no
+    constraint, since ``count_box`` tags its own result with the caller's.
     """
     bounds = tuple(int(b) for b in bounds)
     r = len(bounds)
@@ -703,10 +703,7 @@ def count_toth(bounds: tuple[int, ...], u: int = 1, sides=None) -> CountResult:
     box = Box(bounds=bounds, n=max(max(bounds), 1))
     constraint = None
     if r >= 2 and sides is None:
-        if u == 1:
-            constraint = TupleConstraint.pairwise(r)
-        else:
-            constraint = TupleConstraint.grouped("pairwise", r, (tuple(range(r)),), (u,))
+        constraint = TupleConstraint.pairwise(r, (CoprimeTo(u),) * r if u > 1 else ())
     return CountResult(count=count, constraint=constraint, box=box, method=METHOD_TOTH)
 
 

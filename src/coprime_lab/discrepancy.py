@@ -31,7 +31,7 @@ from math import log
 import numpy as np
 
 from . import counting
-from .constraints import Box, CountResult, METHOD_PREFIX_GRID, TupleConstraint
+from .constraints import TupleConstraint
 from .errors import CapacityError
 
 GRID_CELL_CAP = 10**9
@@ -55,15 +55,6 @@ class CountGrid:
             raise ValueError(
                 f"cumulative grid must have shape {expected}, got {self.cumulative.shape}"
             )
-
-    def count(self, bounds: tuple[int, ...]) -> CountResult:
-        box = Box(bounds=bounds, n=self.n)
-        return CountResult(
-            count=int(self.cumulative[tuple(bounds)]),
-            constraint=None,
-            box=box,
-            method=METHOD_PREFIX_GRID,
-        )
 
 
 def _slabs(n: int, r: int):
@@ -93,7 +84,7 @@ def _occupancy_slabs(n: int, constraint: TupleConstraint):
     of its first coordinates.
     """
     r = constraint.r
-    masks = [counting._admissible(n, side) for side in constraint.effective_sides()]
+    masks = [counting._admissible(n, side) for side in constraint.sides]
     primes = counting.shared_tables(n).primes
     primes = primes[: int(np.searchsorted(primes, n, side="right"))]
     tail = np.ones((n,) * (r - 1), dtype=bool)

@@ -4,7 +4,8 @@ Sampling is counter-based: draw j of a run is splitmix64(seed, j), so any
 sample can be regenerated independently of the others and results are
 bit-identical across platforms, chunk sizes, and thread counts.  Coordinate i
 of tuple s consumes counter s*r + i.  Values map to [1, n] by reduction mod n,
-whose bias (< n / 2^64) is far below every tolerance used here.
+whose bias (< n / 2^64) is far below every tolerance used here.  Sampled
+coordinates are int64, so ``estimate`` refuses n above 2^63 - 1.
 
 The half-width is Hoeffding's distribution-free bound, so the reported
 interval is conservative: coverage exceeds the nominal confidence.
@@ -19,11 +20,13 @@ import numpy as np
 
 from . import counting
 from .constraints import TupleConstraint
+from .errors import CapacityError
 
 _GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
+_INT64_MAX = (1 << 63) - 1
 
 
 def splitmix64(seed: int, index: int) -> int:
@@ -79,6 +82,8 @@ def estimate(
         raise ValueError(f"confidence must lie in (0,1), got {confidence}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > _INT64_MAX:
+        raise CapacityError(f"samples are int64 tuples, so n may be at most 2**63 - 1, got {n}")
     r = constraint.r
     hits = 0
     chunk = 1 << 16

@@ -1,9 +1,11 @@
 """Closed-form side-condition density factors, kept as test oracles.
 
 Each family below was derived by hand for one kind of side condition in the
-mutual and pairwise classes, with pairwise-coprime moduli.  The library
-computes every factor from one per-prime local factor instead; these
-independent formulas certify it, as brute force certifies the counters.
+mutual and pairwise classes, with pairwise-coprime moduli; the grouping
+family is Tóth's setting (Fibonacci Quart. 40, 2002), several coordinates
+coprime to one modulus.  The library computes every factor from one
+per-prime local factor instead; these independent formulas certify it, as
+brute force certifies the counters.
 """
 
 import math
@@ -76,22 +78,34 @@ def grouping_factor(kind: str, r: int, blocks, moduli) -> Fraction:
 
 def closed_form_factor(constraint: TupleConstraint) -> Fraction | None:
     """The factor from the family that covers ``constraint``, or None when no
-    family does: sides in a k-wise class with 2 < k < r, or CoprimeTo mixed
-    with DivisibleBy/Residue.  k-wise with k = 2 or k = r is read as the
-    pairwise or the mutual class."""
+    family does: sides in a k-wise class with 2 < k < r, CoprimeTo mixed with
+    DivisibleBy/Residue, or nontrivial moduli that share a prime.  The one
+    exception is a CoprimeTo modulus repeated on several coordinates, read as
+    one block of ``grouping_factor`` when the distinct moduli are pairwise
+    coprime.  k-wise with k = 2 or k = r is read as the pairwise or the
+    mutual class."""
     kind = constraint.kind
     if kind == "kwise":
         kind = {2: "pairwise", constraint.r: "mutual"}.get(constraint.k)
     r = constraint.r
-    if constraint.blocks is not None:
-        return grouping_factor(kind, r, constraint.blocks, constraint.block_moduli)
     sides = [s for s in constraint.sides if s is not None and s.modulus > 1]
     if not sides:
         return Fraction(1)
     coprime = [s for s in sides if isinstance(s, CoprimeTo)]
     if kind is None or 0 < len(coprime) < len(sides):
         return None
-    big_a = math.prod(s.modulus for s in sides)
+    moduli = sorted({s.modulus for s in sides})
+    if any(math.gcd(a, b) > 1 for i, a in enumerate(moduli) for b in moduli[i + 1 :]):
+        return None
+    if len(moduli) < len(sides):
+        if not coprime:
+            return None
+        blocks = [
+            [i for i, s in enumerate(constraint.sides) if s is not None and s.modulus == a]
+            for a in moduli
+        ]
+        return grouping_factor(kind, r, blocks, moduli)
+    big_a = math.prod(moduli)
     if coprime:
         return coprime_to_factor(kind, r, big_a)
     if all(isinstance(s, DivisibleBy) or s.residue == 0 for s in sides):

@@ -136,7 +136,7 @@ def test_4_side_condition_formulas_and_collapses():
         for u in range(1, 11):
             exact_ok &= grouping_factor("pairwise", r, whole, (u,)) == arith.toth_factor(r, u)
             exact_ok &= correction_factor(
-                TupleConstraint.grouped("pairwise", r, whole, (u,))
+                TupleConstraint.pairwise(r, (CoprimeTo(u),) * r)
             ) == arith.toth_factor(r, u)
 
     _verdict(
@@ -166,7 +166,7 @@ def test_5_counter_equivalence_zero_tolerance():
             bad += count_toth((n,), u).count != run
             toth_checks += 1
         for r in (2, 3, 4):
-            c = TupleConstraint.grouped("pairwise", r, (tuple(range(r)),), (u,))
+            c = TupleConstraint.pairwise(r, (CoprimeTo(u),) * r)
             grid = build_grid(100, c)
             for n in range(1, 101):
                 bad += count_toth((n,) * r, u).count != int(grid.cumulative[(n,) * r])
@@ -175,7 +175,7 @@ def test_5_counter_equivalence_zero_tolerance():
     _verdict(
         bad == 0,
         "counter equivalence",
-        f"{boxes} boxes (r=2 n<=128, r=3 n<=40) + {toth_checks} grouped cubes "
+        f"{boxes} boxes (r=2 n<=128, r=3 n<=40) + {toth_checks} coprime-to-u cubes "
         f"(n<=100, r<=4, u in 1/2/6/30): {bad} mismatches",
     )
 

@@ -57,7 +57,7 @@ def test_constant_kwise_with_sides_exit_zero(capsys):
 
 def test_constant_invalid_sides(capsys):
     code, _, err = run_cli(
-        capsys, "constant", "--class", "mutual", "-r", "2", "--divisible", "4,6"
+        capsys, "constant", "--class", "mutual", "-r", "2", "--divisible", "0,1"
     )
     assert code == 2
     assert "invalid" in err
@@ -146,10 +146,8 @@ def test_count_grouped_toth(capsys):
         "30",
         "--class",
         "pairwise",
-        "--blocks",
-        "1,1,1",
-        "--block-moduli",
-        "6",
+        "--coprime-to",
+        "6,6,6",
         "--method",
         "toth",
     )
@@ -281,6 +279,15 @@ def test_verify_kwise_sides_row_passes(tmp_path, capsys):
     assert abs(row["empirical"] - row["midpoint"]) <= row["tolerance"]
 
 
+@pytest.mark.parametrize("n", (2**63, 2**64))
+def test_verify_montecarlo_row_past_int64_exits_four(tmp_path, capsys, n):
+    campaign = tmp_path / "huge.ini"
+    campaign.write_text(f"[huge]\nclass = mutual\nr = 2\nmethod = montecarlo\nn = {n}\n")
+    code, out, err = run_cli(capsys, "verify", str(campaign))
+    assert code == 4 and out == ""
+    assert "capacity" in err and "Traceback" not in err
+
+
 def test_verify_empty_campaign(tmp_path, capsys):
     campaign = tmp_path / "empty.ini"
     campaign.write_text("")
@@ -293,6 +300,10 @@ def test_verify_rejects_unknown_keys(tmp_path, capsys):
     campaign.write_text("[oops]\nclass = mutual\nr = 2\nspeed = fast\n")
     code, _, err = run_cli(capsys, "verify", str(campaign))
     assert code == 2 and "unknown keys" in err
+    # the grouping keys are gone: the same row is coprime-to = 6,6,5
+    campaign.write_text("[g]\nclass = pairwise\nr = 3\nblocks = 1,1,2\nblock-moduli = 6,5\n")
+    code, _, err = run_cli(capsys, "verify", str(campaign))
+    assert code == 2 and "unknown keys: block-moduli, blocks" in err
 
 
 def test_verify_requires_exactly_one_source(capsys):

@@ -11,7 +11,6 @@ from coprime_lab import arith
 from coprime_lab.constants import (
     Interval,
     base_constant,
-    binomial_cdf,
     correction_factor,
     density,
     kwise_constant,
@@ -22,7 +21,7 @@ from coprime_lab.constants import (
 from coprime_lab.constraints import Box, CoprimeTo, DivisibleBy, Residue, TupleConstraint
 from coprime_lab.counting import count_box
 
-from closed_forms import closed_form_factor, pairwise_coprime_vectors
+from closed_forms import closed_form_factor, grouping_factor, pairwise_coprime_vectors
 
 mpmath.mp.dps = 40
 
@@ -79,13 +78,6 @@ def test_zeta_reciprocal_brackets():
 
 
 # -- binomial tail ------------------------------------------------------------
-
-
-def test_binomial_cdf_exact_rationals():
-    assert binomial_cdf(2, Fraction(1, 2), 1) == Fraction(3, 4)
-    assert binomial_cdf(4, Fraction(1, 3), 2) == Fraction(8, 9)
-    assert binomial_cdf(3, Fraction(1, 5), 3) == 1
-    assert binomial_cdf(3, Fraction(1, 5), 0) == Fraction(64, 125)
 
 
 # -- Euler products -----------------------------------------------------------
@@ -189,17 +181,28 @@ def test_residue_collapse_onto_divisible():
 def test_grouping_collapse_single_coordinate_blocks():
     # one block per coordinate is the same as per-coordinate CoprimeTo sides
     for kind in ("mutual", "pairwise"):
-        g = TupleConstraint.grouped(kind, 3, ((0,), (1,), (2,)), (2, 3, 5))
         s = TupleConstraint(
             r=3, kind=kind, sides=(CoprimeTo(2), CoprimeTo(3), CoprimeTo(5))
         )
-        assert correction_factor(g) == correction_factor(s), kind
+        assert correction_factor(s) == grouping_factor(kind, 3, ((0,), (1,), (2,)), (2, 3, 5))
 
 
 def test_grouping_collapse_single_block():
-    # a single block with modulus u is the uniform coprime-to-u thinning
-    g = TupleConstraint.grouped("pairwise", 3, ((0, 1, 2),), (6,))
-    assert correction_factor(g) == arith.toth_factor(3, 6)
+    # every coordinate coprime to u is the uniform coprime-to-u thinning
+    c = TupleConstraint.pairwise(3, (CoprimeTo(6),) * 3)
+    assert correction_factor(c) == arith.toth_factor(3, 6)
+
+
+def test_zero_local_factor_gives_an_exact_zero_interval():
+    # 2 divides both coordinates, so no tuple is coprime: the factor is 0
+    for c in (
+        TupleConstraint.mutual(2, (DivisibleBy(4), DivisibleBy(6))),
+        TupleConstraint.kwise(3, 2, (Residue(6, 2), None, DivisibleBy(10))),
+    ):
+        assert correction_factor(c) == 0
+        iv = density(c)
+        assert (iv.lo, iv.hi) == (0.0, 0.0)
+        assert count_box(Box.cube(60, c.r), c).count == 0
 
 
 def test_coprime_to_factor_positive_and_bounded():
@@ -252,11 +255,19 @@ def test_local_factor_equals_closed_forms():
             for kind, k in classes
             for sides in side_sets
         ]
+        # every grouping: the coordinates of block j share the side CoprimeTo(a_j)
         for blocks in _set_partitions(tuple(range(r))):
             limit = 30 if len(blocks) == 1 else 6
             for moduli in pairwise_coprime_vectors(len(blocks), limit):
+                sides = [None] * r
+                for blk, a in zip(blocks, moduli):
+                    for i in blk:
+                        sides[i] = CoprimeTo(a) if a > 1 else None
                 for kind in ("mutual", "pairwise"):
-                    constraints.append(TupleConstraint.grouped(kind, r, blocks, moduli))
+                    c = TupleConstraint(r=r, kind=kind, sides=tuple(sides))
+                    want = grouping_factor(kind, r, blocks, moduli)
+                    assert correction_factor(c) == closed_form_factor(c) == want, c.describe()
+                    cases += 1
         for c in constraints:
             want = closed_form_factor(c)
             if want is not None:

@@ -1,4 +1,4 @@
-"""Constraint model: classes, side conditions, grouping, boxes."""
+"""Constraint model: classes, side conditions, boxes."""
 
 from fractions import Fraction
 
@@ -50,21 +50,9 @@ def test_side_condition_validation():
         TupleConstraint.mutual(2, (Residue(4, -1), None))
     with pytest.raises(ValueError):
         TupleConstraint.mutual(2, (DivisibleBy(2),))  # wrong arity
-    # side moduli must be pairwise coprime
-    with pytest.raises(ValueError):
-        TupleConstraint.mutual(2, (DivisibleBy(4), DivisibleBy(6)))
-
-
-def test_grouping_validation():
-    TupleConstraint.grouped("pairwise", 3, ((0, 1), (2,)), (6, 5))
-    with pytest.raises(ValueError):
-        TupleConstraint.grouped("kwise", 3, ((0, 1), (2,)), (6, 5))
-    with pytest.raises(ValueError):
-        TupleConstraint.grouped("pairwise", 3, ((0, 1), (1, 2)), (6, 5))
-    with pytest.raises(ValueError):
-        TupleConstraint.grouped("pairwise", 3, ((0, 1),), (6,))
-    with pytest.raises(ValueError):
-        TupleConstraint.grouped("pairwise", 3, ((0, 1), (2,)), (6, 4))
+    # moduli of different coordinates may share primes, in every class
+    TupleConstraint.mutual(2, (DivisibleBy(4), DivisibleBy(6)))
+    TupleConstraint.kwise(3, 2, (CoprimeTo(6), CoprimeTo(6), Residue(4, 1)))
 
 
 def test_moduli_product_cap():
@@ -77,14 +65,11 @@ def test_moduli_product_cap():
         with pytest.raises(CapacityError):
             TupleConstraint.pairwise(2, sides)
     with pytest.raises(CapacityError):
-        TupleConstraint.grouped("mutual", 2, ((0,), (1,)), (10**6, 10**6 + 1))
-
-
-def test_effective_sides_materializes_grouping():
-    c = TupleConstraint.grouped("pairwise", 3, ((0, 2), (1,)), (10, 1))
-    assert c.effective_sides() == (CoprimeTo(10), None, CoprimeTo(10))
-    plain = TupleConstraint.pairwise(2, (None, DivisibleBy(3)))
-    assert plain.effective_sides() == plain.sides
+        TupleConstraint.mutual(2, (CoprimeTo(10**6), CoprimeTo(10**6 + 1)))
+    # the cap is on the distinct moduli: one modulus on every coordinate
+    # counts once, whatever the side kind
+    TupleConstraint.pairwise(3, (CoprimeTo(10**6),) * 3)
+    TupleConstraint.mutual(2, (CoprimeTo(10**6), DivisibleBy(10**6)))
 
 
 def test_admits():
@@ -114,8 +99,8 @@ def test_member_with_sides():
 def test_describe_is_stable():
     c = TupleConstraint.pairwise(3, (CoprimeTo(2), None, Residue(5, 2)))
     assert c.describe() == "pairwise r=3 x1⊥2 x3≡2(5)"
-    g = TupleConstraint.grouped("mutual", 3, ((0, 1), (2,)), (6, 5))
-    assert g.describe() == "mutual r=3 blocks=1,2|3 moduli=6,5"
+    g = TupleConstraint.mutual(3, (CoprimeTo(6), CoprimeTo(6), CoprimeTo(5)))
+    assert g.describe() == "mutual r=3 x1⊥6 x2⊥6 x3⊥5"
 
 
 def test_box_cube_and_alpha():

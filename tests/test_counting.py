@@ -6,7 +6,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coprime_lab import counting
+from coprime_lab.constants import density
 from coprime_lab.constraints import (
     Box,
     CoprimeTo,
@@ -55,7 +56,7 @@ def test_member_bulk_matches_scalar():
         TupleConstraint.pairwise(3),
         TupleConstraint.kwise(4, 3),
         TupleConstraint.pairwise(2, (DivisibleBy(4), Residue(3, 2))),
-        TupleConstraint.grouped("pairwise", 3, ((0, 1), (2,)), (6, 5)),
+        TupleConstraint.pairwise(3, (CoprimeTo(6), CoprimeTo(6), CoprimeTo(5))),
     ):
         cols = [
             np.array([rng.randint(1, 60) for _ in range(400)], dtype=np.int64)
@@ -132,13 +133,8 @@ def _random_constraint(rng: random.Random) -> TupleConstraint:
 
 
 def _random_sides(rng: random.Random, kind: str, r: int, k=None) -> TupleConstraint:
-    for _ in range(50):
-        sides = tuple(rng.choice(SIDE_POOLS) for _ in range(r))
-        try:
-            return TupleConstraint(r=r, kind=kind, k=k, sides=sides)
-        except ValueError:
-            continue  # moduli collided; redraw
-    return TupleConstraint(r=r, kind=kind, k=k)
+    sides = tuple(rng.choice(SIDE_POOLS) for _ in range(r))
+    return TupleConstraint(r=r, kind=kind, k=k, sides=sides)
 
 
 def test_mobius_equals_bruteforce_randomized():
@@ -162,13 +158,58 @@ def test_mobius_equals_oracle_on_ragged_boxes():
 
 
 def test_grouped_constraints_count_like_their_sides():
+    # coordinates 1 and 2 both coprime to 6, coordinate 3 coprime to 5
     rng = random.Random(5)
     for _ in range(10):
         kind = rng.choice(("mutual", "pairwise"))
-        g = TupleConstraint.grouped(kind, 3, ((0, 1), (2,)), (6, 5))
+        g = TupleConstraint(r=3, kind=kind, sides=(CoprimeTo(6), CoprimeTo(6), CoprimeTo(5)))
         bounds = tuple(rng.randint(1, 25) for _ in range(3))
         box = Box(bounds=bounds, n=25)
         assert count_mobius(box, g).count == count_box_bruteforce(box, g).count
+
+
+SHARED_MODULI = (2, 3, 4, 6, 8, 9, 10, 12)
+
+
+def _shared_prime_constraint(rng: random.Random, r: int) -> TupleConstraint:
+    """A random class and sides whose moduli, drawn from SHARED_MODULI, share
+    a prime between at least two coordinates."""
+    kind = rng.choice(("mutual", "pairwise", "kwise"))
+    k = rng.randint(2, r) if kind == "kwise" else None
+    while True:
+        sides = []
+        for _ in range(r):
+            a = rng.choice(SHARED_MODULI)
+            sides.append(
+                rng.choice((None, CoprimeTo(a), DivisibleBy(a), Residue(a, rng.randrange(a))))
+            )
+        moduli = [s.modulus for s in sides if s is not None]
+        if any(gcd(a, b) > 1 for i, a in enumerate(moduli) for b in moduli[i + 1 :]):
+            return TupleConstraint(r=r, kind=kind, k=k, sides=tuple(sides))
+
+
+def test_shared_prime_moduli_engines_and_density():
+    rng = random.Random(2002)
+    caps = {2: 60, 3: 30, 4: 16}
+    for trial in range(60):
+        r = rng.randint(2, 4)
+        c = _shared_prime_constraint(rng, r)
+        n = caps[r]
+        bounds = tuple(rng.randint(n // 2, n) for _ in range(r))
+        box = Box(bounds=bounds, n=n)
+        want = count_box_bruteforce(box, c).count
+        assert count_mobius(box, c).count == want, (trial, c.describe(), bounds)
+        assert count_box(box, c).count == want, (trial, c.describe(), bounds)
+        if c.effective_k == 2:
+            assert count_box(box, c, method="toth").count == want, (trial, c.describe())
+            assert count_toth(bounds, sides=c.sides).count == want, (trial, c.describe())
+    # the density against exact counts, at acceptance test 4's tolerance
+    for trial in range(16):
+        r = 2 + trial % 2
+        c = _shared_prime_constraint(rng, r)
+        n = (5040, 720)[r - 2]
+        empirical = count_box(Box.cube(n, r), c).count / n**r
+        assert abs(empirical - density(c).mid) <= 1e-2, (trial, c.describe())
 
 
 def test_count_mutual_mobius_with_sides_matches_brute_up_to_128():
@@ -185,16 +226,9 @@ def test_count_mutual_mobius_with_sides_matches_brute_up_to_128():
         Residue(7, 0),
         Residue(9, 2),
     ]
-    def draw_sides(r):
-        while True:
-            sides = tuple(rng.choice(side_pool) for _ in range(r))
-            moduli = [s.modulus for s in sides if s is not None]
-            if all(gcd(a, b) == 1 for i, a in enumerate(moduli) for b in moduli[i + 1 :]):
-                return sides
-
     for _ in range(24):
         r = rng.choice((2, 2, 3))
-        sides = draw_sides(r)
+        sides = tuple(rng.choice(side_pool) for _ in range(r))
         c = TupleConstraint.mutual(r, sides if any(sides) else None)
         hi = 128 if r == 2 else 64
         box = Box(bounds=tuple(rng.randint(0, hi) for _ in range(r)), n=hi)
@@ -215,12 +249,17 @@ def test_count_is_monotone_in_bounds():
 def test_class_nesting():
     # pairwise implies k-wise implies mutual, so counts are ordered
     box = Box.cube(40, 4)
-    pc = count_mobius(box, TupleConstraint.pairwise(4)).count
-    k3 = count_mobius(box, TupleConstraint.kwise(4, 3)).count
-    c = count_mobius(box, TupleConstraint.mutual(4)).count
+    pc = count_box(box, TupleConstraint.pairwise(4)).count
+    k3 = count_box(box, TupleConstraint.kwise(4, 3)).count
+    c = count_box(box, TupleConstraint.mutual(4)).count
     assert pc <= k3 <= c
-    assert count_mobius(box, TupleConstraint.kwise(4, 2)).count == pc
-    assert count_mobius(box, TupleConstraint.kwise(4, 4)).count == c
+    assert count_box(box, TupleConstraint.kwise(4, 2)).count == pc
+    assert count_box(box, TupleConstraint.kwise(4, 4)).count == c
+    # the auto route sends pairwise r = 4 to the peeling counter; the subset
+    # DFS cross-checks it on a box where it takes well under a second
+    small = Box.cube(12, 4)
+    pairwise = TupleConstraint.pairwise(4)
+    assert count_mobius(small, pairwise).count == count_box(small, pairwise).count
 
 
 def test_bruteforce_volume_cap():
@@ -355,7 +394,7 @@ def test_toth_frozen_examples():
 def test_toth_result_constraint_tagging():
     assert count_toth((5, 5, 5)).constraint == TupleConstraint.pairwise(3)
     tagged = count_toth((5, 5), u=6).constraint
-    assert tagged.block_moduli == (6,)
+    assert tagged == TupleConstraint.pairwise(2, (CoprimeTo(6), CoprimeTo(6)))
     assert count_toth((9,), u=2).constraint is None
 
 
@@ -403,15 +442,16 @@ def test_toth_with_sides_equals_bruteforce_randomized():
         bounds = tuple(rng.choice((0, rng.randint(1, n), n)) for _ in range(r))
         box = Box(bounds=bounds, n=n)
         if trial % 3 == 0:
+            # two blocks of coordinates, each sharing one CoprimeTo modulus
             cut = rng.randint(1, r - 1)
-            blocks = (tuple(range(cut)), tuple(range(cut, r)))
-            moduli = rng.choice(((6, 5), (4, 1), (10, 3)))
-            c = TupleConstraint.grouped("pairwise", r, blocks, moduli)
+            a, b = rng.choice(((6, 5), (4, 1), (10, 3)))
+            sides = tuple(CoprimeTo(a if i < cut else b) for i in range(r))
+            c = TupleConstraint.pairwise(r, sides)
         else:
             c = _random_sides(rng, "pairwise", r)
         want = count_box_bruteforce(box, c).count
         assert count_box(box, c, method="toth").count == want, (trial, c, bounds)
-        assert count_toth(bounds, sides=c.effective_sides()).count == want, (trial, c, bounds)
+        assert count_toth(bounds, sides=c.sides).count == want, (trial, c, bounds)
 
 
 def test_toth_uniform_modulus_with_sides():
@@ -529,8 +569,6 @@ def test_pattern_family_frequency_near_binomial_product():
     # "at most h_i coordinates divisible by p_i" has limiting frequency
     # prod_i P(Bin(r, 1/p_i) <= h_i); the finite-n error decays like 1/n.
     # Worst measured dev*n over these cases is 0.445; 1.0 gives 2x headroom.
-    from coprime_lab.constants import binomial_cdf
-
     cases = [
         ((2,), (1,), 2),
         ((3,), (1,), 3),
@@ -541,7 +579,8 @@ def test_pattern_family_frequency_near_binomial_product():
     for primes, caps, r in cases:
         target = Fraction(1)
         for p, h in zip(primes, caps):
-            target *= binomial_cdf(r, Fraction(1, p), h)
+            q = Fraction(1, p)
+            target *= sum(comb(r, j) * q**j * (1 - q) ** (r - j) for j in range(h + 1))
         for n in (1000, 10000):
             total = 0
             for bits in product((0, 1), repeat=len(primes) * r):

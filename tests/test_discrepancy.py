@@ -36,6 +36,7 @@ GRID_CLASSES = (
     TupleConstraint.kwise(4, 3),
     TupleConstraint.pairwise(4),
     TupleConstraint.mutual(3, (CoprimeTo(6), Residue(5, 2), None)),
+    TupleConstraint.kwise(3, 2, (CoprimeTo(6), DivisibleBy(4), Residue(6, 3))),
 )
 
 
@@ -58,13 +59,6 @@ def test_grid_frozen_corner():
     grid = build_grid(4, TupleConstraint.mutual(2))
     assert int(grid.cumulative[4, 4]) == 11
     assert int(grid.cumulative[0, 4]) == 0
-
-
-def test_grid_count_method_field():
-    grid = build_grid(6, TupleConstraint.mutual(2))
-    res = grid.count((5, 3))
-    assert res.count == int(grid.cumulative[5, 3])
-    assert res.method == "PrefixGrid"
 
 
 def test_grid_cell_cap():

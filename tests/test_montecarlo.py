@@ -6,6 +6,7 @@ import pytest
 from coprime_lab import montecarlo as mc
 from coprime_lab.constants import pairwise_constant, zeta_reciprocal
 from coprime_lab.constraints import DivisibleBy, TupleConstraint
+from coprime_lab.errors import CapacityError
 
 MASK = (1 << 64) - 1
 
@@ -98,6 +99,16 @@ def test_estimate_validation():
         mc.estimate(c, 100, samples=1000, confidence=1.0)
     with pytest.raises(ValueError):
         mc.estimate(c, 0, samples=1000)
+
+
+def test_estimate_refuses_n_past_int64():
+    # coordinates are int64: 2**63 would wrap negative, 2**64 overflowed uint64
+    c = TupleConstraint.mutual(2)
+    for n in (2**63, 2**64, 10**30):
+        with pytest.raises(CapacityError):
+            mc.estimate(c, n, samples=1000)
+    est = mc.estimate(c, 2**63 - 1, samples=1000, seed=5)
+    assert 0.0 < est.mean < 1.0
 
 
 def test_small_domain_exact_agreement():
