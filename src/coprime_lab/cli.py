@@ -14,6 +14,7 @@ import argparse
 import configparser
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -699,7 +700,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so a closed pipe is reported here
+        return code
     except UnsupportedError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 3
@@ -709,6 +712,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``); point it at devnull so the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,16 +17,17 @@ Three counting routes, all integer-exact:
   condition.  Without a side condition N_i(L) = B_i // L; with one, N_i is a
   table over L <= B_i summed from the admissible values once per call, so
   every side kind is counted from its definition.  When one subset covers
-  every coordinate (mutual, or k-wise with k = r) and no coordinate has a
-  side condition, the count is sum_d mu(d) prod_i (B_i // d): d is taken in
-  the O(sqrt(B)) runs on which every quotient is constant, and the Mertens
-  function M at the run ends comes from a sieve to about B^(2/3) plus the
-  Deléglise-Rivat recursion, so bounds up to 10**10 need no full sieve.
-  Otherwise assignments are enumerated depth-first with the last subset
-  vectorized (or replayed from a cached table), and one row evaluator sums
-  the products exactly, in int64 when the box volume allows and in Python
-  integers otherwise; the identities are certified against brute force in
-  the tests.
+  every coordinate (mutual, or k-wise with k = r) every L_i is one d, and
+  without side conditions the count is sum_d mu(d) prod_i (B_i // d): d is
+  taken in the O(sqrt(B)) runs on which every quotient is constant, and the
+  Mertens function M at the run ends comes from a sieve to about B^(2/3) plus
+  the Deléglise-Rivat recursion, so bounds up to 10**10 need no full sieve.
+  Otherwise the assignments are grouped by L, whose coefficient c(L) is a
+  product over primes of a factor that depends only on how many L_i the
+  prime divides; a depth-first search over primes lists the rows (L, c(L))
+  (or a cached table replays them), and one row evaluator sums the products
+  exactly, in int64 when the volume and the largest |c(L)| allow and in
+  Python integers otherwise; the tests certify it against brute force.
 * the recursive pairwise counter (``count_toth``) — peels one coordinate per
   level, grouping its admissible values by radical and memoizing on the
   primes of the accumulated coprimality modulus that can still divide a
@@ -42,13 +43,15 @@ Also here: divisibility-pattern counts and the gcd/lcm weighted sums.
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_right
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd, isqrt, lcm, prod
+from itertools import combinations
+from math import ceil, comb, gcd, isqrt, prod
 
 import numpy as np
 
@@ -401,72 +404,82 @@ def _brute_generic(vals, subsets) -> int:
 # the Möbius engine
 
 
-def _mobius_enumerate(bounds, subsets, tables, emit) -> None:
-    """DFS over squarefree assignments (d_S), last subset vectorized.
+def _pattern_coefficient(m: int, k: int) -> int:
+    """sum of (-1)^|F| over the families F of k-subsets of an m-set whose union
+    is the whole set: 1 at m = 0, 0 for 0 < m < k, and (-1)^(m-k+1) C(m-1, k-1)
+    from m = k on (Hu, Int. J. Number Theory 9, 2013)."""
+    if m < k:
+        return int(m == 0)
+    return (-1) ** (m - k + 1) * comb(m - 1, k - 1)
 
-    ``emit(cols, w)`` receives one chunk: per-coordinate L values (int scalar
-    or int64 array) and the int64 weight vector prod mu(d_S); only assignments
-    with every L_i <= B_i are produced (any other contributes zero).
+
+_MOBIUS_ROWS_MAX = 2_000_000  # pairwise r = 7 reaches it in 11-14 s, under 200 MB, on 2 vCPUs
+
+
+def _mobius_table(bounds, k, tables) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (L, c(L)) of count = sum_L c(L) prod_i N_i(L_i) for the class
+    whose constrained subsets are all k-subsets of the coordinates, as an
+    (r, rows) int32 matrix of L values and an int64 coefficient vector.
+
+    c(L) sums prod_S mu(d_S) over the assignments of squarefree d_S with lcm
+    vector L, so it is a product over primes p of ``_pattern_coefficient`` of
+    the number of L_i that p divides.  Only L with L_i <= B_i are listed; they
+    need primes up to the k-th largest bound.  The primes are taken depth-first
+    in increasing order.  At a node (the L of the primes so far) each pattern
+    I of at least k coordinates with room for the next prime gives one slice
+    of rows, "one more prime p on I" for every p up to min_{i in I} B_i // L_i,
+    and the search descends only into the p after which k coordinates still
+    have room for a larger prime.
     """
     r = len(bounds)
-    nmax = max(bounds)
-    sq = tables.squarefree_up_to(nmax)
-    mu = tables.mobius[sq].astype(np.int64)
-    order = list(subsets)
-    depth_count = len(order)
+    primes = tables.primes[: int(np.searchsorted(tables.primes, sorted(bounds)[-k], side="right"))]
+    plist = primes.tolist()
+    coefficient = [_pattern_coefficient(m, k) for m in range(r + 1)]
+    # one chunk per (node, pattern): its L, I as bits, prime slice and coefficient
+    base, bits, firsts, ends, coefs = (array("q") for _ in range(5))
+    rows = 1
 
-    L = [1] * r
-    coord_primes: list[tuple[int, ...]] = [()] * r
+    stack = [([1] * r, 1, 0)]  # nodes: L, c(L), index of the smallest prime left
+    while stack:
+        L, c, first = stack.pop()
+        if first == len(plist):
+            continue
+        room = [b // v for b, v in zip(bounds, L)]
+        q = plist[first]
+        coords = [i for i in range(r) if room[i] >= q]
+        # the largest p with p (p + 1) <= room: p on i leaves room for a larger prime
+        square = [(isqrt(4 * v + 1) - 1) // 2 for v in room]
+        for m in range(k, len(coords) + 1):
+            cm = c * coefficient[m]
+            for I in combinations(coords, m):
+                end = bisect_right(plist, min(room[i] for i in I), first)
+                base.extend(L)
+                bits.append(sum(1 << i for i in I))
+                firsts.append(first)
+                ends.append(end)
+                coefs.append(cm)
+                rows += end - first
+                if rows > _MOBIUS_ROWS_MAX:
+                    raise CapacityError(f"the Möbius table passes {_MOBIUS_ROWS_MAX} rows")
+                lim = sorted(square[i] if i in I else room[i] - 1 for i in range(r))[-k]
+                for t in range(first, bisect_right(plist, lim, first, end)):
+                    p = plist[t]
+                    stack.append(([v * p if i in I else v for i, v in enumerate(L)], cm, t + 1))
 
-    def rec(t: int, weight: int) -> None:
-        S = order[t]
-        base_primes = tuple(sorted({p for i in S for p in coord_primes[i]}))
-        cap = max(bounds[i] for i in S)
-        leaf = t == depth_count - 1
-        for g, mu_g in arith.signed_subset_products(base_primes, cap):
-            Lg = [lcm(L[i], g) for i in S]
-            F = min(bounds[i] // lg for i, lg in zip(S, Lg))
-            if F < 1:
-                continue
-            pos = int(np.searchsorted(sq, F, side="right"))
-            fs = sq[:pos]
-            mus = mu[:pos]
-            if base_primes:
-                base = prod(base_primes)
-                keep = np.gcd(fs, base) == 1
-                fs = fs[keep]
-                mus = mus[keep]
-            if len(fs) == 0:
-                continue
-            if leaf:
-                cols: list[object] = list(L)
-                for i, lg in zip(S, Lg):
-                    cols[i] = lg * fs
-                emit(cols, (weight * mu_g) * mus)
-            else:
-                savedL = [L[i] for i in S]
-                savedP = [coord_primes[i] for i in S]
-                g_primes = arith.prime_divisors(g) if g > 1 else ()
-                for f, mu_f in zip(fs.tolist(), mus.tolist()):
-                    f_primes = (
-                        tuple(p for p, _ in arith.factorize(int(f), tables))
-                        if f > 1
-                        else ()
-                    )
-                    for i, lg in zip(S, Lg):
-                        L[i] = lg * f
-                        coord_primes[i] = tuple(
-                            sorted(set(coord_primes[i]) | set(g_primes) | set(f_primes))
-                        )
-                    rec(t + 1, weight * mu_g * mu_f)
-                    for i, lv, pv in zip(S, savedL, savedP):
-                        L[i] = lv
-                        coord_primes[i] = pv
-
-    if depth_count == 0:
-        emit([1] * r, np.ones(1, dtype=np.int64))
-        return
-    rec(0, 1)
+    base, bits, firsts, ends, coefs = (
+        np.frombuffer(a, dtype=np.int64) for a in (base, bits, firsts, ends, coefs)
+    )
+    lengths = ends - firsts
+    chunk = np.repeat(np.arange(len(lengths)), lengths)
+    p = primes[np.arange(rows - 1) - np.repeat(np.cumsum(lengths) - ends, lengths)]
+    base = base.reshape(len(lengths), r)
+    bits = bits[chunk]
+    A = np.ones((r, rows), dtype=np.int32)  # row 0 is L = (1, ..., 1)
+    for i in range(r):
+        A[i, 1:] = base[chunk, i] * np.where(bits >> i & 1, p, 1)
+    W = np.ones(rows, dtype=np.int64)
+    W[1:] = coefs[chunk]
+    return A, W
 
 
 def _check_bound_cap(bounds, cap: int, what: str) -> None:
@@ -536,41 +549,35 @@ _CACHE_VOLUME_MIN = 10**9
 _ROW_SLICE = 1 << 16
 
 
-def _cached_assignments(bounds, subsets, tables) -> tuple[np.ndarray, np.ndarray]:
-    """Materialized assignment table (L matrix int32, weights int8) for reuse
-    across many side-condition variants on the same box shape."""
-    key = (tuple(bounds), tuple(subsets))
+def _cached_table(bounds, k, tables) -> tuple[np.ndarray, np.ndarray]:
+    """``_mobius_table``, kept for reuse across many side-condition variants
+    on the same box shape."""
+    key = (tuple(bounds), k)
     if key in _ASSIGN_CACHE:
         _ASSIGN_CACHE.move_to_end(key)
         return _ASSIGN_CACHE[key]
-    cols_chunks: list[np.ndarray] = []
-    w_chunks: list[np.ndarray] = []
-
-    def emit(cols, w):
-        m = len(w)
-        a = np.empty((m, len(cols)), dtype=np.int32)
-        for i, c in enumerate(cols):
-            a[:, i] = c
-        cols_chunks.append(a)
-        w_chunks.append(w.astype(np.int8))
-
-    _mobius_enumerate(bounds, subsets, tables, emit)
-    A = np.concatenate(cols_chunks) if cols_chunks else np.empty((0, len(bounds)), np.int32)
-    W = np.concatenate(w_chunks) if w_chunks else np.empty(0, np.int8)
-    _ASSIGN_CACHE[key] = (A, W)
+    _ASSIGN_CACHE[key] = _mobius_table(bounds, k, tables)
     while len(_ASSIGN_CACHE) > _ASSIGN_CACHE_MAX:
         _ASSIGN_CACHE.popitem(last=False)
-    return A, W
+    return _ASSIGN_CACHE[key]
+
+
+def _row_dtype(volume: int, wmax: int):
+    """int64 when it holds every slice sum: a row's |w| prod_i N_i(L_i) is at
+    most wmax * volume, so a slice of _ROW_SLICE rows sums to at most
+    wmax * volume * _ROW_SLICE; Python integers otherwise."""
+    return np.int64 if wmax * volume * _ROW_SLICE < 2**63 else object
 
 
 def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
-    """Exact count via subset-variable Möbius inclusion-exclusion.
+    """Exact count via Möbius inclusion-exclusion over the constrained subsets.
 
-    Handles every class and side-condition combination; cost grows with the
-    number of constrained subsets, so very wide k-wise systems are refused.
-    A single subset over every coordinate without side conditions is summed
-    over the runs of d with Mertens values (bounds up to MUTUAL_BOUND_CAP);
-    every other input runs the subset DFS, whose sieve caps bounds at 10**8.
+    Handles every class and side-condition combination.  A single subset over
+    every coordinate is summed over squarefree d: without side conditions over
+    the runs of d with Mertens values (bounds up to MUTUAL_BOUND_CAP), with
+    them as one vectorized sum of mu(d) prod_i N_i(d).  Every other class sums
+    the rows of ``_mobius_table``, whose sieve caps bounds at 10**8; systems
+    of more than ENGINE_MAX_SUBSETS subsets are refused.
     """
     if box.r != constraint.r:
         raise ValueError(f"box is {box.r}-dimensional, constraint wants {constraint.r}")
@@ -587,31 +594,24 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
         count = _mutual_sum(box.bounds, _mertens(box.bounds))
         return CountResult(count=count, constraint=constraint, box=box, method=METHOD_MOBIUS)
     tables = shared_tables(max(box.bounds))
-    counts = [
-        _side_counts(b, side) for b, side in zip(box.bounds, constraint.sides)
-    ]
-    # A row's product is at most the volume in size, so int64 holds the sum
-    # of a slice of _ROW_SLICE rows when volume * _ROW_SLICE is below 2**63.
+    counts = [_side_counts(b, side) for b, side in zip(box.bounds, constraint.sides)]
     volume = box.volume()
-    dtype = np.int64 if volume * _ROW_SLICE < 2**63 else object
-    total = 0
-
-    def evaluate(cols, w) -> None:
-        """Add the sum over rows of w * prod_i N_i(cols[i]); a column is an
-        array of L values or one int shared by every row."""
-        nonlocal total
-        for lo in range(0, len(w), _ROW_SLICE):
-            rows = slice(lo, lo + _ROW_SLICE)
-            acc = w[rows].astype(dtype)
-            for c, N in zip(cols, counts):
-                acc *= N(c[rows] if isinstance(c, np.ndarray) else c)
-            total += int(acc.sum())
-
-    if volume >= _CACHE_VOLUME_MIN and len(subsets) >= 3:
-        A, W = _cached_assignments(box.bounds, subsets, tables)
-        evaluate(A.T, W)
+    if len(subsets) == 1:
+        sq = tables.squarefree_up_to(min(box.bounds))
+        A = np.broadcast_to(sq, (box.r, len(sq)))
+        W = tables.mobius[sq].astype(np.int64)
+    elif volume >= _CACHE_VOLUME_MIN:  # every class here has at least 3 subsets
+        A, W = _cached_table(box.bounds, constraint.effective_k, tables)
     else:
-        _mobius_enumerate(box.bounds, subsets, tables, evaluate)
+        A, W = _mobius_table(box.bounds, constraint.effective_k, tables)
+    dtype = _row_dtype(volume, int(np.abs(W).max()))
+    total = 0
+    for lo in range(0, len(W), _ROW_SLICE):
+        rows = slice(lo, lo + _ROW_SLICE)
+        acc = W[rows].astype(dtype)
+        for L, N in zip(A, counts):
+            acc *= N(L[rows])
+        total += int(acc.sum())
     return CountResult(count=total, constraint=constraint, box=box, method=METHOD_MOBIUS)
 
 

@@ -5,7 +5,7 @@ import os
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, gcd, lcm, prod
 
 import numpy as np
@@ -212,6 +212,86 @@ def test_shared_prime_moduli_engines_and_density():
         assert abs(empirical - density(c).mid) <= 1e-2, (trial, c.describe())
 
 
+def _class_of_subset_size(rng: random.Random, r: int, k: int) -> tuple[str, int | None]:
+    """A (kind, k) pair whose constrained subsets are the k-subsets."""
+    if k == r and rng.random() < 0.5:
+        return "mutual", None
+    if k == 2 and rng.random() < 0.5:
+        return "pairwise", None
+    return "kwise", k
+
+
+def test_mobius_rows_equal_bruteforce_for_every_subset_size():
+    # r = 2..6 and k = 2..r, moduli that share primes, ragged and zero bounds
+    rng = random.Random(20261018)
+    caps = {2: 60, 3: 40, 4: 20, 5: 9, 6: 6}
+    kinds_seen = set()
+    for trial in range(150):
+        r = 2 + trial % 5
+        k = rng.randint(2, r)
+        kind, kk = _class_of_subset_size(rng, r, k)
+        sides = []
+        for _ in range(r):
+            a = rng.choice(SHARED_MODULI)
+            sides.append(
+                rng.choice((None, CoprimeTo(a), DivisibleBy(a), Residue(a, rng.randrange(a))))
+            )
+        kinds_seen.update(type(s).__name__ for s in sides if s is not None)
+        c = TupleConstraint(r=r, kind=kind, k=kk, sides=tuple(sides))
+        n = caps[r]
+        bounds = tuple(rng.choice((0, rng.randint(1, n), n, n)) for _ in range(r))
+        box = Box(bounds=bounds, n=n)
+        want = count_box_bruteforce(box, c).count
+        assert count_mobius(box, c).count == want, (trial, c.describe(), bounds)
+    assert kinds_seen == {"CoprimeTo", "DivisibleBy", "Residue"}
+
+
+def test_pattern_coefficient_equals_subset_lattice_inclusion_exclusion():
+    # c(m): (-1)^|F| summed over the families F of k-subsets of an m-set that
+    # cover it.  A family inside T exists for every T, and those families sum
+    # to [|T| < k] (the empty family alone when T has no k-subset, else zero),
+    # so Möbius inversion over the union gives sum_T (-1)^(m - |T|) [|T| < k].
+    for r in range(2, 8):
+        for k in range(2, r + 1):
+            for m in range(r + 1):
+                lattice = sum(
+                    (-1) ** (m - t) for t in range(min(m, k - 1) + 1) for _ in combinations(range(m), t)
+                )
+                got = counting._pattern_coefficient(m, k)
+                assert got == lattice, (r, k, m)
+                ksubsets = list(combinations(range(m), k))
+                if len(ksubsets) <= 10:
+                    direct = 0
+                    for bits in range(1 << len(ksubsets)):
+                        family = [S for j, S in enumerate(ksubsets) if bits >> j & 1]
+                        if {i for S in family for i in S} == set(range(m)):
+                            direct += (-1) ** len(family)
+                    assert got == direct, (r, k, m)
+
+
+def test_row_dtype_scales_with_the_largest_coefficient():
+    # 3-wise r = 6 rows carry coefficients up to 100 in size; the slice sums
+    # fit in int64 only when volume * _ROW_SLICE * max |c(L)| is below 2**63
+    _, W = counting._mobius_table((20,) * 6, 3, counting.shared_tables(20))
+    wmax = int(np.abs(W).max())
+    assert wmax == 100
+    volume = (2**63 - 1) // counting._ROW_SLICE
+    assert counting._row_dtype(volume, 1) is np.int64
+    assert counting._row_dtype(volume, wmax) is object
+    assert counting._row_dtype(volume // wmax, wmax) is np.int64
+    assert counting._row_dtype(volume // wmax + 1, wmax) is object
+
+
+def test_mobius_row_budget_refuses(monkeypatch):
+    box, c = Box.cube(22, 4), TupleConstraint.pairwise(4)
+    want = count_box_bruteforce(box, c).count
+    monkeypatch.setattr(counting, "_MOBIUS_ROWS_MAX", 2069)  # this table's size
+    assert count_mobius(box, c).count == want
+    monkeypatch.setattr(counting, "_MOBIUS_ROWS_MAX", 2068)
+    with pytest.raises(CapacityError):
+        count_mobius(box, c)
+
+
 def test_count_mutual_mobius_with_sides_matches_brute_up_to_128():
     # divisibility / residue side conditions with moduli <= 10, ragged boxes
     rng = random.Random(128)
@@ -255,11 +335,8 @@ def test_class_nesting():
     assert pc <= k3 <= c
     assert count_box(box, TupleConstraint.kwise(4, 2)).count == pc
     assert count_box(box, TupleConstraint.kwise(4, 4)).count == c
-    # the auto route sends pairwise r = 4 to the peeling counter; the subset
-    # DFS cross-checks it on a box where it takes well under a second
-    small = Box.cube(12, 4)
-    pairwise = TupleConstraint.pairwise(4)
-    assert count_mobius(small, pairwise).count == count_box(small, pairwise).count
+    # the auto route sends pairwise r = 4 to the peeling counter
+    assert count_mobius(box, TupleConstraint.pairwise(4)).count == pc
 
 
 def test_bruteforce_volume_cap():
@@ -312,7 +389,7 @@ def test_mobius_sums_past_int64_exactly(n, r, count):
 
 @pytest.mark.parametrize("n, r", ((50_000, 4), (60_000, 4)))
 def test_mobius_sums_with_sides_past_int64_exactly(n, r):
-    # the subset DFS with an odd first coordinate: volume * 2**16 passes 2**63
+    # one subset with sides, an odd first coordinate: volume * 2**16 passes 2**63
     # at the first size and the volume itself at the second
     c = TupleConstraint.mutual(r, (CoprimeTo(2),) + (None,) * (r - 1))
     mu = counting.arith.build_tables(n).mobius.tolist()
