@@ -216,10 +216,3 @@ def signed_subset_products(primes, cap: int | None = None) -> tuple[tuple[int, i
         pairs += [(d * p, -s) for d, s in pairs if cap is None or d * p <= cap]
     return tuple(pairs)
 
-
-def squarefree_divisors_signed(m: int) -> tuple[tuple[int, int], ...]:
-    """All ``(d, mu(d))`` with ``d`` running over divisors of ``radical(m)``.
-
-    Handy for one-variable Moebius sums; ``2**omega(m)`` entries.
-    """
-    return signed_subset_products(prime_divisors(m))

@@ -440,32 +440,50 @@ def rows_from_campaign(path: str, args: argparse.Namespace) -> list[RowSpec]:
     return rows
 
 
-def run_row(row: RowSpec) -> list[tuple[str, object]]:
-    """Evaluate one row; the last pair but one is the verdict."""
-    base = [("name", row.name), ("constraint", row.constraint.describe())]
-    if row.target is not None:
-        interval = row.target
-    else:
-        interval = constants.density(row.constraint)
+def _empirical(row: RowSpec) -> float:
+    """The row's exact count ratio or Monte Carlo mean."""
     if row.method == "montecarlo":
-        est = montecarlo.estimate(
+        return montecarlo.estimate(
             row.constraint,
             row.n,
             samples=row.samples,
             seed=row.seed,
             confidence=row.confidence,
-        )
-        empirical = est.mean
+        ).mean
+    box = Box.cube(row.n, row.constraint.r)
+    return counting.count_box(box, row.constraint).count / row.n**row.constraint.r
+
+
+def _tuple_set_key(row: RowSpec) -> tuple:
+    """Rows with equal keys name the same tuple set at the same scale and
+    method, so they have the same empirical value (a pairwise row is the
+    k = 2 k-wise row, a mutual row the k = r one)."""
+    c = row.constraint
+    key = (c.r, c.effective_k, c.sides, row.n, row.method)
+    return key + (row.samples, row.seed) if row.method == "montecarlo" else key
+
+
+def run_row(row: RowSpec, memo: dict[tuple, float]) -> list[tuple[str, object]]:
+    """Evaluate one row; the last pair but one is the verdict.  ``memo`` holds
+    the empirical value of each tuple set met so far, keyed by
+    ``_tuple_set_key``, so rows naming the same set count or sample it once."""
+    base = [("name", row.name), ("constraint", row.constraint.describe())]
+    if row.target is not None:
+        interval = row.target
+    else:
+        interval = constants.density(row.constraint)
+    key = _tuple_set_key(row)
+    if key not in memo:
+        memo[key] = _empirical(row)
+    empirical = memo[key]
+    if row.method == "montecarlo":
         mc = [
-            ("mc_samples", est.samples),
-            ("mc_seed", est.seed),
-            ("mc_confidence", est.confidence),
-            ("mc_half_width", est.half_width),
+            ("mc_samples", row.samples),
+            ("mc_seed", row.seed),
+            ("mc_confidence", row.confidence),
+            ("mc_half_width", montecarlo.hoeffding_half_width(row.samples, row.confidence)),
         ]
     else:
-        box = Box.cube(row.n, row.constraint.r)
-        count = counting.count_box(box, row.constraint).count
-        empirical = count / row.n**row.constraint.r
         mc = [
             ("mc_samples", None),
             ("mc_seed", None),
@@ -493,9 +511,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         rows = rows_from_campaign(args.campaign, args)
     emitter = _Emitter(args.format)
+    memo: dict[tuple, float] = {}
     failed = False
     for row in rows:
-        pairs = run_row(row)
+        pairs = run_row(row, memo)
         emitter.emit(pairs)
         verdict = dict(pairs)["verdict"]
         failed = failed or verdict == "FAIL"

@@ -27,7 +27,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -36,6 +35,8 @@ from .constraints import MAX_R, CoprimeTo, Residue, TupleConstraint
 from .errors import CapacityError
 
 DEFAULT_PRIME_CUTOFF = 10**6
+# primes per numpy object array in the Python-int tier of kwise_constant
+_OBJECT_CHUNK = 2**16
 
 
 def _up(x: float) -> float:
@@ -96,37 +97,60 @@ class Interval:
         return Interval(lo, hi)
 
 
+def _exact_sum(terms: np.ndarray) -> float:
+    """The correctly rounded sum of a nonempty array of positive,
+    nonincreasing float64 terms; it equals ``math.fsum(terms)`` bit for bit.
+
+    Each term is m * 2**(e - 53) with a 53-bit integer mantissa m.  The terms
+    are nonincreasing, so their exponents e are too, and the terms of one
+    exponent form one contiguous run.  The mantissas are split into a 27-bit
+    high and a 26-bit low half and each half is summed per run in int64,
+    which stays exact while len(terms) < 2**36.  The runs join into one
+    Python int N, and N / 2**E is rounded once, correctly, by int division.
+    """
+    frac, exp = np.frexp(terms)
+    mant = (frac * 2.0**53).astype(np.int64)  # exact: frac has 53 bits
+    starts = np.flatnonzero(np.diff(exp, prepend=exp[0] + 1))
+    highs = np.add.reduceat(mant >> 26, starts).tolist()
+    lows = np.add.reduceat(mant & (2**26 - 1), starts).tolist()
+    exps = exp[starts].tolist()
+    low_exp = exps[-1]
+    total = sum(((h << 26) + lo) << (e - low_exp) for h, lo, e in zip(highs, lows, exps))
+    shift = 53 - low_exp
+    return total / (1 << shift) if shift >= 0 else float(total << -shift)
+
+
+def _zeta_terms(r: int) -> np.ndarray:
+    """The terms 1/m^r, m = 1..M, of zeta(r)'s partial sum, each correctly
+    rounded.  M = max(64, ceil((4e12)^(1/r))), so M^-r <= 2.5e-13 keeps the
+    tail bracket width comfortably under 1e-12."""
+    m_terms = max(64, math.ceil((4 * 10**12) ** (1.0 / r)))
+    if m_terms**r < 2**53:
+        # every m**r is exact in int64 and in float64, so each term is the
+        # same correctly rounded quotient as 1.0 / (m**r) in Python
+        return 1.0 / (np.arange(1, m_terms + 1, dtype=np.int64) ** r).astype(np.float64)
+    return np.array([1.0 / (m**r) for m in range(1, m_terms + 1)])
+
+
 @lru_cache(maxsize=None)
 def zeta(r: int) -> Interval:
     """Enclosure of zeta(r) for 2 <= r <= 64, width well under 1e-12.
 
-    Partial sum of M exact terms (fsum keeps the summation correctly
-    rounded), plus the integral tail bracket
+    Partial sum of M exact terms (``_exact_sum`` keeps the summation
+    correctly rounded), plus the integral tail bracket
     [M^(1-r)/(r-1) - M^(-r), M^(1-r)/(r-1)]; ends nudged outward a few ulps
     to cover the per-term rounding.
     """
     if not 2 <= r <= MAX_R:
         raise ValueError(f"r must be in [2, {MAX_R}], got {r}")
-    # M^-r <= 2.5e-13 keeps the bracket width comfortably under 1e-12.
-    target = 4 * 10**12
-    m_terms = max(64, math.ceil(target ** (1.0 / r)))
-    if m_terms**r < 2**53:
-        # every m**r is exact in int64 and in float64, so each term is the
-        # same correctly rounded quotient as 1.0 / (m**r) in Python; chunks
-        # of 2**16 keep the float list small
-        chunks = (
-            np.arange(lo, min(lo + 2**16, m_terms + 1), dtype=np.int64) ** r
-            for lo in range(1, m_terms + 1, 2**16)
-        )
-        terms = chain.from_iterable((1.0 / b.astype(np.float64)).tolist() for b in chunks)
-    else:
-        terms = (1.0 / (m**r) for m in range(1, m_terms + 1))
-    partial = math.fsum(terms)
+    terms = _zeta_terms(r)
+    m_terms = len(terms)
+    partial = _exact_sum(terms)
     tail_hi = m_terms ** (1 - r) / (r - 1) if r > 1 else math.inf
     tail_lo = tail_hi - m_terms ** (-r)
     lo = partial + tail_lo
     hi = partial + tail_hi
-    for _ in range(4):  # per-term division + fsum + the two adds above
+    for _ in range(4):  # per-term division + the sum + the two adds above
         lo, hi = _dn(lo), _up(hi)
     return Interval(lo, hi)
 
@@ -160,20 +184,35 @@ def kwise_constant(r: int, k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
             f"prime_cutoff {prime_cutoff} exceeds the sieve cap {arith.TABLE_LIMIT_MAX}"
         )
 
-    # factor = P(Bin(r, 1/p) <= k-1) = sum_{j<k} C(r,j) (p-1)^(r-j) / p^r,
-    # rounded to nearest by int true division.  While p^r < 2^53 numerator
-    # and denominator are exact in int64 and float64, so numpy's division
-    # rounds to the same float.
-    binomials = [(math.comb(r, j), r - j) for j in range(k)]
-    primes = _primes_up_to(prime_cutoff).tolist()
-    split = bisect_left(primes, True, key=lambda p: p**r >= 2**53)
-    q = np.array(primes[:split], dtype=np.int64) - 1
-    factors = (sum(c * q**e for c, e in binomials) / (q + 1) ** r).tolist()
-    factors += [sum([c * (p - 1) ** e for c, e in binomials]) / p**r for p in primes[split:]]
+    # factor = P(Bin(r, 1/p) <= k-1) = N / p^r with, for q = p - 1,
+    # N = sum_{j<k} C(r,j) q^(r-j) = q^(r-k+1) sum_{j<k} C(r,j) q^(k-1-j),
+    # rounded to nearest by one true division.  While p^r < 2^53 N and p^r
+    # are exact in int64 and float64, so numpy's division rounds to the same
+    # float as Python's int division; past that, numpy object arrays divide
+    # Python ints, 2^16 primes at a time to bound their memory.
+    def euler_factors(q: np.ndarray) -> np.ndarray:
+        poly = 1  # Horner
+        for j in range(1, k):
+            poly = poly * q + math.comb(r, j)
+        return (poly * q ** (r - k + 1) / (q + 1) ** r).astype(np.float64)
+
+    primes = _primes_up_to(prime_cutoff)
+    split = bisect_left(primes, 2**53, key=lambda p: int(p) ** r)
+    factors = [euler_factors(primes[:split].astype(np.int64) - 1)]
+    factors += [
+        euler_factors(primes[start : start + _OBJECT_CHUNK].astype(object) - 1)
+        for start in range(split, len(primes), _OBJECT_CHUNK)
+    ]
+    factors = np.concatenate(factors)
+    # round each factor outward once, then multiply sequentially, rounding
+    # every partial product outward
+    nextafter, inf = math.nextafter, math.inf
     lo_acc, hi_acc = 1.0, 1.0
-    for f in factors:
-        lo_acc = _dn(lo_acc * _dn(f))
-        hi_acc = _up(hi_acc * _up(f))
+    for f_lo, f_hi in zip(
+        np.nextafter(factors, -inf).tolist(), np.nextafter(factors, inf).tolist()
+    ):
+        lo_acc = nextafter(lo_acc * f_lo, -inf)
+        hi_acc = nextafter(hi_acc * f_hi, inf)
 
     tail = _up(_up(math.comb(r, k) / (k - 1)) * _up(prime_cutoff ** (1 - k)))
     lo = max(0.0, _dn(lo_acc * _dn(1.0 - tail)))

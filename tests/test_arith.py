@@ -124,10 +124,12 @@ def test_squarefree_divisor_count():
     assert arith.squarefree_divisor_count(1) == 1
 
 
-def test_squarefree_divisors_signed():
-    assert arith.squarefree_divisors_signed(6) == ((1, 1), (2, -1), (3, -1), (6, 1))
-    assert arith.squarefree_divisors_signed(4) == ((1, 1), (2, -1))
-    assert arith.squarefree_divisors_signed(1) == ((1, 1),)
+def test_signed_subset_products():
+    signed = arith.signed_subset_products
+    assert signed(arith.prime_divisors(6)) == ((1, 1), (2, -1), (3, -1), (6, 1))
+    assert signed(arith.prime_divisors(4)) == ((1, 1), (2, -1))
+    assert signed(arith.prime_divisors(1)) == ((1, 1),)
+    assert signed((2, 3, 5), cap=10) == ((1, 1), (2, -1), (3, -1), (6, 1), (5, -1), (10, 1))
 
 
 def test_toth_factor_values():

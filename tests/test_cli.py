@@ -11,7 +11,7 @@ import pytest
 DATA = Path(__file__).parent / "data"
 FAIL_FIXTURE = str(DATA / "failing-campaign.ini")
 
-from coprime_lab import cli
+from coprime_lab import cli, counting, montecarlo
 from coprime_lab.constants import density
 from coprime_lab.constraints import Box, CoprimeTo, Residue, TupleConstraint
 from coprime_lab.counting import count_box
@@ -364,6 +364,42 @@ def test_verify_target_override_rows_can_pass(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(campaign))
     assert code == 0
     assert json.loads(out)["verdict"] == "PASS"
+
+
+def test_verify_counts_or_samples_each_tuple_set_once(tmp_path, capsys, monkeypatch):
+    calls = {"estimate": [], "count_box": []}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(montecarlo, "estimate", recording("estimate", montecarlo.estimate))
+    monkeypatch.setattr(counting, "count_box", recording("count_box", counting.count_box))
+    mc = "method = montecarlo\nsamples = 5000\ntolerance = 0.05\n"
+    campaign = tmp_path / "shared.ini"
+    campaign.write_text(
+        f"[pw4]\nclass = pairwise\nr = 4\n{mc}\n"
+        f"[kw4]\nclass = kwise\nr = 4\nk = 2\n{mc}\n"
+        f"[kw4-seed]\nclass = kwise\nr = 4\nk = 2\nseed = 7\n{mc}\n"
+        "[mu3]\nclass = mutual\nr = 3\nn = 64\ntolerance = 0.05\n\n"
+        "[kw3]\nclass = kwise\nr = 3\nk = 3\nn = 64\ntolerance = 0.05\n"
+    )
+    code, out, _ = run_cli(capsys, "verify", str(campaign))
+    assert code == 0
+    rows = {row["name"]: row for row in map(json.loads, out.strip().split("\n"))}
+    # pairwise r=4 and k=2, r=4 on one seed share; another seed samples again
+    assert len(calls["estimate"]) == 2 and len(calls["count_box"]) == 1
+    assert rows["pw4"]["empirical"] == rows["kw4"]["empirical"]
+    assert rows["kw4-seed"]["empirical"] != rows["kw4"]["empirical"]
+    assert rows["mu3"]["empirical"] == rows["kw3"]["empirical"]
+    # each row keeps its own constant and its own Monte Carlo fields
+    assert rows["mu3"]["constraint"] != rows["kw3"]["constraint"]
+    assert rows["mu3"]["lo"] != rows["kw3"]["lo"]  # 1/zeta(3) vs the k = r product
+    assert rows["kw4-seed"]["mc_seed"] == 7 and rows["kw4"]["mc_seed"] == 20260816
+    assert rows["pw4"]["mc_half_width"] == rows["kw4"]["mc_half_width"] > 0
 
 
 # -- discrepancy --------------------------------------------------------------------

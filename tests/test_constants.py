@@ -1,15 +1,23 @@
 """Interval enclosures for density constants and the exact rational
 correction factors for side conditions."""
 
+import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
 import mpmath
+import numpy as np
 import pytest
 
 from coprime_lab import arith
 from coprime_lab.constants import (
     Interval,
+    _exact_sum,
+    _zeta_terms,
     base_constant,
     correction_factor,
     density,
@@ -22,6 +30,7 @@ from coprime_lab.constraints import Box, CoprimeTo, DivisibleBy, Residue, TupleC
 from coprime_lab.counting import count_box
 
 from closed_forms import closed_form_factor, grouping_factor, pairwise_coprime_vectors
+from euler_reference import kwise_endpoints, primes_up_to
 
 mpmath.mp.dps = 40
 
@@ -77,7 +86,33 @@ def test_zeta_reciprocal_brackets():
     assert abs(zeta_reciprocal(3).mid - 0.831907) < 1e-6
 
 
-# -- binomial tail ------------------------------------------------------------
+def test_exact_sum_equals_fsum_on_zeta_terms():
+    for r in range(2, 65):
+        terms = _zeta_terms(r)
+        assert _exact_sum(terms) == math.fsum(terms.tolist()), r
+
+
+def test_exact_sum_equals_fsum_on_random_and_half_way_inputs():
+    rng = random.Random(9)
+    for trial in range(200):
+        size = rng.choice((1, 2, 3, 17, 1000, 5000))
+        scale = rng.choice((1e-250, 1e-20, 1.0, 1e20, 1e300 / size))
+        if trial % 2:  # many equal exponents
+            values = [scale * (1 + rng.random()) for _ in range(size)]
+        else:  # exponents spread over a wide range, into the subnormals
+            values = [scale * 2.0 ** rng.uniform(-200, 0) for _ in range(size)]
+        values.sort(reverse=True)
+        assert _exact_sum(np.array(values)) == math.fsum(values), trial
+    # ties: exactly half an ulp rounds to even, a hair more rounds up
+    for values in (
+        [1.0, 2**-53],
+        [1.0, 2**-53, 2**-106],
+        [1.0 + 2**-52, 2**-53],
+        [2.0**60, 1.0],
+        [1.0] * 3 + [2**-52] * 3,
+        [5e-324] * 7,
+    ):
+        assert _exact_sum(np.array(values)) == math.fsum(values), values
 
 
 # -- Euler products -----------------------------------------------------------
@@ -85,19 +120,10 @@ def test_zeta_reciprocal_brackets():
 
 def _mp_pairwise(r: int, cutoff: int = 200000) -> float:
     out = mpmath.mpf(1)
-    for p in _primes(cutoff):
+    for p in primes_up_to(cutoff):
         q = mpmath.mpf(1) / p
         out *= (1 - q) ** r + r * q * (1 - q) ** (r - 1)
     return float(out)
-
-
-def _primes(limit: int):
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, limit + 1) if sieve[i]]
 
 
 def test_pairwise_constant_known_values():
@@ -332,7 +358,39 @@ def test_zeta_and_product_endpoints_frozen():
         (3, 2): ("0x1.25a0e85c074afp-2", "0x1.25a122171df3ap-2"),
         (4, 2): ("0x1.d68ffa44285b7p-4", "0x1.d690b34d17b69p-4"),
         (5, 3): ("0x1.6e40a54434e1cp-2", "0x1.6e40a5448184bp-2"),
+        (8, 5): ("0x1.256d8bbeac303p-1", "0x1.256d8bbef8b9cp-1"),
+        (12, 2): ("0x1.45eb468228fbcp-18", "0x1.45f0c85329cc5p-18"),
     }
     for (r, k), ends in products.items():
         c = kwise_constant(r, k)
         assert (c.lo.hex(), c.hi.hex()) == ends, (r, k)
+
+
+def test_kwise_factor_tiers_equal_the_per_prime_form():
+    # at cutoff 10^4 the float64 tier covers p^r < 2^53 and the object-array
+    # tier the rest: from r = 4 (p >= 9743) up to every p >= 23 at r = 12
+    for r in range(2, 13):
+        for k in range(2, r + 1):
+            iv = kwise_constant(r, k, 10**4)
+            assert (iv.lo, iv.hi) == kwise_endpoints(r, k, 10**4), (r, k)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_kwise_constant_at_large_cutoff_keeps_memory_bounded():
+    # the object-array tier runs in chunks; whole, it took the peak past 200 MB.
+    # The CLI process reports its own peak (VmHWM): a child's ru_maxrss starts
+    # at its parent's high-water mark, so from inside pytest it would measure
+    # pytest.
+    script = (
+        "import sys; from coprime_lab import cli, constants; code = cli.main(sys.argv[1:]); "
+        "iv = constants.kwise_constant(4, 3, 10**7); print(repr(iv.lo), repr(iv.hi)); "
+        "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM')).split()[1]); "
+        "sys.exit(code)"
+    )
+    argv = ["constant", "--class", "kwise", "-r", "4", "-k", "3", "--cutoff", "10000000"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    row, ends, peak_kb = proc.stdout.strip().split("\n")
+    assert ends == "0.5842806721626325 0.5842806724542744"
+    assert '"lo":0.584280672162632,"hi":0.584280672454274' in row
+    assert int(peak_kb) <= 150 * 1024
