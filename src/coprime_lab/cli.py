@@ -117,98 +117,49 @@ def _parse_alpha(text: str, r: int) -> tuple[Fraction, ...]:
         raise ValueError(f"--alpha components must be rationals like 0.5 or 1/3, got {text!r}")
 
 
-def _parse_residue_sides(text: str) -> list[tuple[int, int]]:
-    out = []
-    for part in text.split(","):
-        fields = part.split(":")
-        if len(fields) != 2:
-            raise ValueError(f"residue entries look like MODULUS:RESIDUE, got {part!r}")
-        try:
-            out.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise ValueError(f"residue entries look like MODULUS:RESIDUE, got {part!r}")
-    return out
+# The per-coordinate side flags, also the campaign keys: (name, side type,
+# metavar, help).  Each takes r comma-separated entries, an entry being the
+# side type's fields joined by ':'; an entry of modulus 1 means "no condition".
+_SIDE_FLAGS = (
+    ("coprime-to", CoprimeTo, "A1,...,AR", "per-coordinate coprimality moduli (1 = none)"),
+    ("divisible", DivisibleBy, "A1,...,AR", "per-coordinate divisors (1 = none)"),
+    (
+        "residue",
+        Residue,
+        "A1:B1,...,AR:BR",
+        "per-coordinate congruences x_i = B_i mod A_i (1:0 = none)",
+    ),
+)
 
 
-def _build_sides(
-    r: int,
-    coprime_to: str | None,
-    divisible: str | None,
-    residue: str | None,
-):
-    """Merge the three per-coordinate side flags; entries of modulus 1 are
-    placeholders for 'no condition' so the lists always have length r."""
-    sides: list = [None] * r
-
-    def put(i: int, side) -> None:
-        if sides[i] is not None:
-            raise ValueError(f"coordinate {i + 1} was given two side conditions")
-        sides[i] = side
-
-    if coprime_to is not None:
-        values = _parse_ints(coprime_to, "--coprime-to")
-        if len(values) != r:
-            raise ValueError(f"--coprime-to needs {r} entries, got {len(values)}")
-        for i, a in enumerate(values):
-            if a < 1:
-                raise ValueError(f"--coprime-to entries must be >= 1, got {a}")
-            if a > 1:
-                put(i, CoprimeTo(a))
-    if divisible is not None:
-        values = _parse_ints(divisible, "--divisible")
-        if len(values) != r:
-            raise ValueError(f"--divisible needs {r} entries, got {len(values)}")
-        for i, a in enumerate(values):
-            if a < 1:
-                raise ValueError(f"--divisible entries must be >= 1, got {a}")
-            if a > 1:
-                put(i, DivisibleBy(a))
-    if residue is not None:
-        entries = _parse_residue_sides(residue)
-        if len(entries) != r:
-            raise ValueError(f"--residue needs {r} entries, got {len(entries)}")
-        for i, (a, b) in enumerate(entries):
-            if a > 1:
-                put(i, Residue(a, b))
-            elif a == 1:
-                if b != 0:
-                    raise ValueError(f"modulus 1 admits only residue 0, got {b}")
-            else:
-                raise ValueError(f"--residue moduli must be >= 1, got {a}")
-    return tuple(sides)
-
-
-def _build_constraint(
-    cls: str,
-    r: int,
-    k: int | None,
-    coprime_to: str | None = None,
-    divisible: str | None = None,
-    residue: str | None = None,
-) -> TupleConstraint:
-    sides = _build_sides(r, coprime_to, divisible, residue)
-    if cls == "mutual":
-        if k is not None:
-            raise ValueError("-k applies to the kwise class only")
-        return TupleConstraint.mutual(r, sides)
-    if cls == "pairwise":
-        if k is not None:
-            raise ValueError("-k applies to the kwise class only")
-        return TupleConstraint.pairwise(r, sides)
-    if k is None:
-        raise ValueError("the kwise class needs -k")
-    return TupleConstraint.kwise(r, k, sides)
+def _parse_sides(r: int, get) -> tuple:
+    """The sides named by the side flags, ``get(name)`` giving each flag's
+    text or None; () when no entry sets a condition.  ``TupleConstraint``
+    checks the moduli and residues."""
+    sides: dict[int, object] = {}
+    for name, side_type, metavar, _ in _SIDE_FLAGS:
+        text = get(name)
+        if text is None:
+            continue
+        parts = text.split(",")
+        if len(parts) != r:
+            raise ValueError(f"--{name} needs {r} entries, got {len(parts)}")
+        for i, part in enumerate(parts):
+            try:
+                side = side_type(*(int(field) for field in part.split(":")))
+            except (TypeError, ValueError):
+                raise ValueError(f"--{name} takes {metavar}, got {text!r}")
+            if side.modulus == 1 and side.admits(1):  # modulo 1 a side admits all x or none
+                continue
+            if i in sides:
+                raise ValueError(f"coordinate {i + 1} was given two side conditions")
+            sides[i] = side
+    return tuple(sides.get(i) for i in range(r)) if sides else ()
 
 
 def _constraint_from_args(args: argparse.Namespace) -> TupleConstraint:
-    return _build_constraint(
-        args.cls,
-        args.r,
-        args.k,
-        coprime_to=args.coprime_to,
-        divisible=args.divisible,
-        residue=args.residue,
-    )
+    sides = _parse_sides(args.r, lambda name: getattr(args, name.replace("-", "_")))
+    return TupleConstraint(r=args.r, kind=args.cls, k=args.k, sides=sides)
 
 
 def _add_constraint_flags(sp: argparse.ArgumentParser, required: bool = True) -> None:
@@ -221,24 +172,8 @@ def _add_constraint_flags(sp: argparse.ArgumentParser, required: bool = True) ->
     )
     sp.add_argument("-r", type=int, required=required, help="tuple length")
     sp.add_argument("-k", type=int, default=None, help="subset size for the kwise class")
-    sp.add_argument(
-        "--coprime-to",
-        metavar="A1,...,AR",
-        default=None,
-        help="per-coordinate coprimality moduli (1 = none)",
-    )
-    sp.add_argument(
-        "--divisible",
-        metavar="A1,...,AR",
-        default=None,
-        help="per-coordinate divisors (1 = none)",
-    )
-    sp.add_argument(
-        "--residue",
-        metavar="A1:B1,...,AR:BR",
-        default=None,
-        help="per-coordinate congruences x_i = B_i mod A_i (1:0 = none)",
-    )
+    for name, _, metavar, help_text in _SIDE_FLAGS:
+        sp.add_argument(f"--{name}", metavar=metavar, default=None, help=help_text)
 
 
 # ---------------------------------------------------------------------------
@@ -309,56 +244,36 @@ def builtin_suite(args: argparse.Namespace) -> list[RowSpec]:
     """The shipped campaign: every density formula at its largest exact scale,
     with Monte Carlo rows where exact counting is out of reach."""
 
-    def exact(name: str, constraint: TupleConstraint) -> RowSpec:
-        return RowSpec(
-            name,
-            constraint,
-            args.n,
-            args.tolerance,
-            "exact",
-            args.samples,
-            args.seed,
-            args.confidence,
-        )
-
-    def sampled(name: str, constraint: TupleConstraint) -> RowSpec:
-        return RowSpec(
-            name,
-            constraint,
-            args.n,
-            args.tolerance,
-            "montecarlo",
-            args.samples,
-            args.seed,
-            args.confidence,
-        )
+    def row(name: str, constraint: TupleConstraint, method: str = "exact") -> RowSpec:
+        common = (args.n, args.tolerance, method, args.samples, args.seed, args.confidence)
+        return RowSpec(name, constraint, *common)
 
     mutual = TupleConstraint.mutual
     pairwise = TupleConstraint.pairwise
     kwise = TupleConstraint.kwise
     return [
-        exact("C-r2", mutual(2)),
-        exact("C-r3", mutual(3)),
-        exact("C-r4", mutual(4)),
-        exact("PC-r2", pairwise(2)),
-        exact("PC-r3", pairwise(3)),
-        sampled("PC-r4", pairwise(4)),
-        exact("kC-r3-k2", kwise(3, 2)),
-        sampled("kC-r4-k2", kwise(4, 2)),
-        sampled("kC-r4-k3", kwise(4, 3)),
-        exact("C-r2-coprime-2-3", mutual(2, (CoprimeTo(2), CoprimeTo(3)))),
-        exact("C-r2-divisible-2-3", mutual(2, (DivisibleBy(2), DivisibleBy(3)))),
-        exact("C-r2-residue-2-3", mutual(2, (Residue(2, 1), Residue(3, 2)))),
-        exact("C-r2-residue-4-1", mutual(2, (Residue(4, 2), None))),
-        exact("PC-r2-coprime-4-9", pairwise(2, (CoprimeTo(4), CoprimeTo(9)))),
-        exact("PC-r2-divisible-4-9", pairwise(2, (DivisibleBy(4), DivisibleBy(9)))),
-        exact("PC-r2-residue-4-9", pairwise(2, (Residue(4, 3), Residue(9, 5)))),
-        exact("PC-r3-coprime-2-3-5", pairwise(3, (CoprimeTo(2), CoprimeTo(3), CoprimeTo(5)))),
-        exact(
+        row("C-r2", mutual(2)),
+        row("C-r3", mutual(3)),
+        row("C-r4", mutual(4)),
+        row("PC-r2", pairwise(2)),
+        row("PC-r3", pairwise(3)),
+        row("PC-r4", pairwise(4), "montecarlo"),
+        row("kC-r3-k2", kwise(3, 2)),
+        row("kC-r4-k2", kwise(4, 2), "montecarlo"),
+        row("kC-r4-k3", kwise(4, 3), "montecarlo"),
+        row("C-r2-coprime-2-3", mutual(2, (CoprimeTo(2), CoprimeTo(3)))),
+        row("C-r2-divisible-2-3", mutual(2, (DivisibleBy(2), DivisibleBy(3)))),
+        row("C-r2-residue-2-3", mutual(2, (Residue(2, 1), Residue(3, 2)))),
+        row("C-r2-residue-4-1", mutual(2, (Residue(4, 2), None))),
+        row("PC-r2-coprime-4-9", pairwise(2, (CoprimeTo(4), CoprimeTo(9)))),
+        row("PC-r2-divisible-4-9", pairwise(2, (DivisibleBy(4), DivisibleBy(9)))),
+        row("PC-r2-residue-4-9", pairwise(2, (Residue(4, 3), Residue(9, 5)))),
+        row("PC-r3-coprime-2-3-5", pairwise(3, (CoprimeTo(2), CoprimeTo(3), CoprimeTo(5)))),
+        row(
             "PC-r3-divisible-2-3-5",
             pairwise(3, (DivisibleBy(2), DivisibleBy(3), DivisibleBy(5))),
         ),
-        exact(
+        row(
             "PC-r3-residue-2-3-5",
             pairwise(3, (Residue(2, 1), Residue(3, 0), Residue(5, 2))),
         ),
@@ -369,9 +284,6 @@ _CAMPAIGN_KEYS = {
     "class",
     "r",
     "k",
-    "coprime-to",
-    "divisible",
-    "residue",
     "n",
     "tolerance",
     "method",
@@ -380,7 +292,7 @@ _CAMPAIGN_KEYS = {
     "confidence",
     "target-lo",
     "target-hi",
-}
+}.union(name for name, *_ in _SIDE_FLAGS)
 
 
 def rows_from_campaign(path: str, args: argparse.Namespace) -> list[RowSpec]:
@@ -401,21 +313,16 @@ def rows_from_campaign(path: str, args: argparse.Namespace) -> list[RowSpec]:
             raise ValueError(f"[{section}] has unknown keys: {', '.join(unknown)}")
         if "class" not in sec or "r" not in sec:
             raise ValueError(f"[{section}] needs at least 'class' and 'r'")
-        cls = sec["class"].strip()
-        if cls not in ("mutual", "pairwise", "kwise"):
-            raise ValueError(f"[{section}] has unknown class {cls!r}")
         try:
             r = sec.getint("r")
-            k = sec.getint("k") if "k" in sec else None
-            n = sec.getint("n") if "n" in sec else args.n
-            tolerance = sec.getfloat("tolerance") if "tolerance" in sec else args.tolerance
-            samples = sec.getint("samples") if "samples" in sec else args.samples
-            seed = sec.getint("seed") if "seed" in sec else args.seed
-            confidence = (
-                sec.getfloat("confidence") if "confidence" in sec else args.confidence
-            )
-            target_lo = sec.getfloat("target-lo") if "target-lo" in sec else None
-            target_hi = sec.getfloat("target-hi") if "target-hi" in sec else None
+            k = sec.getint("k")
+            n = sec.getint("n", args.n)
+            tolerance = sec.getfloat("tolerance", args.tolerance)
+            samples = sec.getint("samples", args.samples)
+            seed = sec.getint("seed", args.seed)
+            confidence = sec.getfloat("confidence", args.confidence)
+            target_lo = sec.getfloat("target-lo")
+            target_hi = sec.getfloat("target-hi")
         except ValueError as exc:
             raise ValueError(f"[{section}] has a malformed numeric value: {exc}")
         method = sec.get("method", "exact").strip()
@@ -426,14 +333,8 @@ def rows_from_campaign(path: str, args: argparse.Namespace) -> list[RowSpec]:
         target = None
         if target_lo is not None:
             target = constants.Interval(target_lo, target_hi)
-        constraint = _build_constraint(
-            cls,
-            r,
-            k,
-            coprime_to=sec.get("coprime-to"),
-            divisible=sec.get("divisible"),
-            residue=sec.get("residue"),
-        )
+        sides = _parse_sides(r, sec.get)
+        constraint = TupleConstraint(r=r, kind=sec["class"].strip(), k=k, sides=sides)
         rows.append(
             RowSpec(section, constraint, n, tolerance, method, samples, seed, confidence, target)
         )
@@ -464,10 +365,9 @@ def _tuple_set_key(row: RowSpec) -> tuple:
 
 
 def run_row(row: RowSpec, memo: dict[tuple, float]) -> list[tuple[str, object]]:
-    """Evaluate one row; the last pair but one is the verdict.  ``memo`` holds
-    the empirical value of each tuple set met so far, keyed by
+    """Evaluate one row as (key, value) pairs, keys in ``VERIFY_FIELDS`` order.
+    ``memo`` holds the empirical value of each tuple set met so far, keyed by
     ``_tuple_set_key``, so rows naming the same set count or sample it once."""
-    base = [("name", row.name), ("constraint", row.constraint.describe())]
     if row.target is not None:
         interval = row.target
     else:
@@ -477,30 +377,24 @@ def run_row(row: RowSpec, memo: dict[tuple, float]) -> list[tuple[str, object]]:
         memo[key] = _empirical(row)
     empirical = memo[key]
     if row.method == "montecarlo":
-        mc = [
-            ("mc_samples", row.samples),
-            ("mc_seed", row.seed),
-            ("mc_confidence", row.confidence),
-            ("mc_half_width", montecarlo.hoeffding_half_width(row.samples, row.confidence)),
-        ]
+        half_width = montecarlo.hoeffding_half_width(row.samples, row.confidence)
+        mc = (row.samples, row.seed, row.confidence, half_width)
     else:
-        mc = [
-            ("mc_samples", None),
-            ("mc_seed", None),
-            ("mc_confidence", None),
-            ("mc_half_width", None),
-        ]
+        mc = (None,) * 4
     ok = abs(empirical - interval.mid) <= row.tolerance and interval.width <= row.tolerance
-    return base + [
-        ("lo", interval.lo),
-        ("hi", interval.hi),
-        ("midpoint", interval.mid),
-        ("n", row.n),
-        ("empirical", empirical),
+    values = (
+        row.name,
+        row.constraint.describe(),
+        interval.lo,
+        interval.hi,
+        interval.mid,
+        row.n,
+        empirical,
         *mc,
-        ("verdict", "PASS" if ok else "FAIL"),
-        ("tolerance", row.tolerance),
-    ]
+        "PASS" if ok else "FAIL",
+        row.tolerance,
+    )
+    return list(zip(VERIFY_FIELDS, values, strict=True))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

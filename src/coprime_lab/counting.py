@@ -45,7 +45,6 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_right
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,19 +75,12 @@ ENGINE_MAX_SUBSETS = 128
 
 
 def worker_count() -> int:
-    """Thread cap: COPRIME_LAB_THREADS if set, else available parallelism;
-    never more than the CPU count."""
-    cpus = os.cpu_count() or 1
-    env = os.environ.get("COPRIME_LAB_THREADS")
-    if env is not None:
-        try:
-            v = int(env)
-        except ValueError as exc:
-            raise ValueError(f"COPRIME_LAB_THREADS must be an integer, got {env!r}") from exc
-        if v < 1:
-            raise ValueError(f"COPRIME_LAB_THREADS must be >= 1, got {v}")
-        return min(v, cpus)
-    return cpus
+    """Thread cap: the CPUs this process may run on (its affinity set where
+    the platform reports one, else the CPU count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def shared_tables(limit: int) -> arith.ArithTables:
@@ -152,14 +144,8 @@ def member_bulk(cols: list[np.ndarray], constraint: TupleConstraint) -> np.ndarr
     """
     mask = np.ones(len(cols[0]), dtype=bool)
     for col, side in zip(cols, constraint.sides):
-        if side is None:
-            continue
-        if isinstance(side, CoprimeTo):
-            mask &= np.gcd(col, side.modulus) == 1
-        elif isinstance(side, DivisibleBy):
-            mask &= col % side.modulus == 0
-        else:
-            mask &= col % side.modulus == side.residue
+        if side is not None:
+            mask &= _side_mask(col, side)
     for subset in constraint.subsets():
         g = cols[subset[0]]
         for i in subset[1:]:
@@ -172,17 +158,20 @@ def member_bulk(cols: list[np.ndarray], constraint: TupleConstraint) -> np.ndarr
 # side conditions per coordinate
 
 
+def _side_mask(values: np.ndarray, side) -> np.ndarray:
+    """Which entries of the int64 array ``values`` meet the side condition."""
+    if side is None:
+        return np.ones(len(values), dtype=bool)
+    if isinstance(side, CoprimeTo):
+        return np.gcd(values, side.modulus) == 1
+    if isinstance(side, DivisibleBy):
+        return values % side.modulus == 0
+    return values % side.modulus == side.residue
+
+
 def _admissible(bound: int, side) -> np.ndarray:
     """Boolean mask over [0, bound]: entry x says whether x >= 1 meets the side."""
-    v = np.arange(bound + 1, dtype=np.int64)
-    if side is None:
-        mask = v > 0
-    elif isinstance(side, CoprimeTo):
-        mask = np.gcd(v, side.modulus) == 1
-    elif isinstance(side, DivisibleBy):
-        mask = v % side.modulus == 0
-    else:
-        mask = v % side.modulus == side.residue
+    mask = _side_mask(np.arange(bound + 1, dtype=np.int64), side)
     mask[0] = False
     return mask
 
@@ -232,6 +221,7 @@ def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
         raise CapacityError(
             f"box volume {box.volume()} exceeds the brute-force cap {BRUTE_VOLUME_CAP}"
         )
+    _check_subset_cap(constraint)
     vals = [
         _allowed_values(b, side)
         for b, side in zip(box.bounds, constraint.sides)
@@ -413,13 +403,27 @@ def _pattern_coefficient(m: int, k: int) -> int:
     return (-1) ** (m - k + 1) * comb(m - 1, k - 1)
 
 
+def _check_subset_cap(constraint: TupleConstraint) -> None:
+    """Refuse more constrained subsets than ENGINE_MAX_SUBSETS before any is
+    listed: listing the C(40, 20) of k-wise r = 40, k = 20 would not end."""
+    subsets = comb(constraint.r, constraint.effective_k)
+    if subsets > ENGINE_MAX_SUBSETS:
+        raise CapacityError(
+            f"{subsets} constrained subsets exceed the engine cap "
+            f"{ENGINE_MAX_SUBSETS}; use Monte Carlo instead"
+        )
+
+
 _MOBIUS_ROWS_MAX = 2_000_000  # pairwise r = 7 reaches it in 11-14 s, under 200 MB, on 2 vCPUs
 
 
-def _mobius_table(bounds, k, tables) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=2)
+def _mobius_table(bounds: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows (L, c(L)) of count = sum_L c(L) prod_i N_i(L_i) for the class
     whose constrained subsets are all k-subsets of the coordinates, as an
-    (r, rows) int32 matrix of L values and an int64 coefficient vector.
+    (r, rows) int32 matrix of L values and an int64 coefficient vector, both
+    read-only.  The last two tables are kept, so the side-condition variants
+    of one box shape replay a table instead of searching again.
 
     c(L) sums prod_S mu(d_S) over the assignments of squarefree d_S with lcm
     vector L, so it is a product over primes p of ``_pattern_coefficient`` of
@@ -432,6 +436,7 @@ def _mobius_table(bounds, k, tables) -> tuple[np.ndarray, np.ndarray]:
     have room for a larger prime.
     """
     r = len(bounds)
+    tables = shared_tables(max(bounds))
     primes = tables.primes[: int(np.searchsorted(tables.primes, sorted(bounds)[-k], side="right"))]
     plist = primes.tolist()
     coefficient = [_pattern_coefficient(m, k) for m in range(r + 1)]
@@ -479,6 +484,7 @@ def _mobius_table(bounds, k, tables) -> tuple[np.ndarray, np.ndarray]:
         A[i, 1:] = base[chunk, i] * np.where(bits >> i & 1, p, 1)
     W = np.ones(rows, dtype=np.int64)
     W[1:] = coefs[chunk]
+    A.flags.writeable = W.flags.writeable = False
     return A, W
 
 
@@ -543,23 +549,7 @@ def _mutual_sum(bounds, M) -> int:
     return total
 
 
-_ASSIGN_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_ASSIGN_CACHE_MAX = 2
-_CACHE_VOLUME_MIN = 10**9
 _ROW_SLICE = 1 << 16
-
-
-def _cached_table(bounds, k, tables) -> tuple[np.ndarray, np.ndarray]:
-    """``_mobius_table``, kept for reuse across many side-condition variants
-    on the same box shape."""
-    key = (tuple(bounds), k)
-    if key in _ASSIGN_CACHE:
-        _ASSIGN_CACHE.move_to_end(key)
-        return _ASSIGN_CACHE[key]
-    _ASSIGN_CACHE[key] = _mobius_table(bounds, k, tables)
-    while len(_ASSIGN_CACHE) > _ASSIGN_CACHE_MAX:
-        _ASSIGN_CACHE.popitem(last=False)
-    return _ASSIGN_CACHE[key]
 
 
 def _row_dtype(volume: int, wmax: int):
@@ -581,29 +571,25 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
     """
     if box.r != constraint.r:
         raise ValueError(f"box is {box.r}-dimensional, constraint wants {constraint.r}")
-    subsets = constraint.subsets()
-    if len(subsets) > ENGINE_MAX_SUBSETS:
-        raise CapacityError(
-            f"{len(subsets)} constrained subsets exceed the engine cap "
-            f"{ENGINE_MAX_SUBSETS}; use Monte Carlo instead"
-        )
+    _check_subset_cap(constraint)
     if min(box.bounds) == 0:
         return CountResult(count=0, constraint=constraint, box=box, method=METHOD_MOBIUS)
-    if len(subsets) == 1 and all(s is None for s in constraint.sides):
+    one_subset = constraint.effective_k == constraint.r
+    if one_subset and all(s is None for s in constraint.sides):
         _check_bound_cap(box.bounds, MUTUAL_BOUND_CAP, "mutual-count")
         count = _mutual_sum(box.bounds, _mertens(box.bounds))
         return CountResult(count=count, constraint=constraint, box=box, method=METHOD_MOBIUS)
-    tables = shared_tables(max(box.bounds))
     counts = [_side_counts(b, side) for b, side in zip(box.bounds, constraint.sides)]
     volume = box.volume()
-    if len(subsets) == 1:
+    if one_subset:
+        tables = shared_tables(max(box.bounds))
         sq = tables.squarefree_up_to(min(box.bounds))
         A = np.broadcast_to(sq, (box.r, len(sq)))
         W = tables.mobius[sq].astype(np.int64)
-    elif volume >= _CACHE_VOLUME_MIN:  # every class here has at least 3 subsets
-        A, W = _cached_table(box.bounds, constraint.effective_k, tables)
     else:
-        A, W = _mobius_table(box.bounds, constraint.effective_k, tables)
+        A, W = _mobius_table(box.bounds, constraint.effective_k)
+        if len(W) > _MOBIUS_ROWS_MAX:  # a table built under a larger budget
+            raise CapacityError(f"the Möbius table passes {_MOBIUS_ROWS_MAX} rows")
     dtype = _row_dtype(volume, int(np.abs(W).max()))
     total = 0
     for lo in range(0, len(W), _ROW_SLICE):
@@ -628,7 +614,7 @@ def count_box(box: Box, constraint: TupleConstraint, method: str | None = None) 
         pairwise_type = (
             constraint.effective_k == 2
             and constraint.r >= 3
-            and len(constraint.subsets()) <= ENGINE_MAX_SUBSETS
+            and comb(constraint.r, 2) <= ENGINE_MAX_SUBSETS
         )
         method = "toth" if pairwise_type and max(box.bounds) <= TOTH_BOUND_CAP else "mobius"
     if method == "mobius":

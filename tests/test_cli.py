@@ -13,7 +13,7 @@ FAIL_FIXTURE = str(DATA / "failing-campaign.ini")
 
 from coprime_lab import cli, counting, montecarlo
 from coprime_lab.constants import density
-from coprime_lab.constraints import Box, CoprimeTo, Residue, TupleConstraint
+from coprime_lab.constraints import Box, CoprimeTo, DivisibleBy, Residue, TupleConstraint
 from coprime_lab.counting import count_box
 
 
@@ -104,6 +104,61 @@ def test_count_pairwise_past_the_subset_cap_is_refused_fast(capsys):
     assert time.perf_counter() - start < 2
     assert code == 4
     assert "136 constrained subsets" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["-n", "2"],
+        ["-n", "2", "--method", "mobius"],
+        ["-n", "1", "--method", "bruteforce"],
+    ),
+)
+def test_count_refuses_huge_subset_systems_before_listing_them(capsys, argv):
+    # C(40, 20) ~ 1.4e11 subsets: listing them only to take their number hung
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--class", "kwise", "-r", "40", "-k", "20", *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (4, "")
+    assert "137846528820 constrained subsets" in err
+
+
+def test_count_merges_the_side_flags(capsys):
+    code, out, _ = run_cli(
+        capsys, "count", "--class", "pairwise", "-r", "3", "-n", "30",
+        "--coprime-to", "6,1,1", "--divisible", "1,2,1", "--residue", "1:0,1:0,5:2",
+    )
+    assert code == 0
+    c = TupleConstraint.pairwise(3, (CoprimeTo(6), DivisibleBy(2), Residue(5, 2)))
+    row = json.loads(out)
+    assert row["constraint"] == c.describe()
+    assert row["count"] == count_box(Box.cube(30, 3), c, method="bruteforce").count
+
+
+@pytest.mark.parametrize(
+    "flags",
+    (
+        ["--coprime-to", "6,1"],  # r = 3 entries needed
+        ["--coprime-to", "6,x,1"],
+        ["--divisible", "0,1,1"],
+        ["--divisible", "2:1,1,1"],
+        ["--residue", "3,1:0,1:0"],
+        ["--residue", "1:1,1:0,1:0"],  # modulus 1 admits only residue 0
+        ["--residue", "3:3,1:0,1:0"],
+        ["--residue", "0:0,1:0,1:0"],
+        ["--coprime-to", "6,1,1", "--divisible", "2,1,1"],  # two sides on x1
+        ["-k", "2"],  # -k belongs to the kwise class
+        ["--class", "kwise"],  # which then needs -k
+        ["--class", "kwise", "-k", "4"],
+    ),
+)
+def test_count_bad_constraint_flags_exit_2(capsys, flags):
+    argv = ["count", "-r", "3", "-n", "10", *flags]
+    if "--class" not in flags:
+        argv += ["--class", "pairwise"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "invalid" in err
 
 
 @pytest.mark.parametrize(
@@ -433,6 +488,16 @@ def test_discrepancy_measure_modes(capsys):
     code, out, _ = run_cli(capsys, "discrepancy", "--measure", "lcm", "-n", "64", "--step", "4")
     assert code == 0
     assert json.loads(out)["kind"] == "lcm"
+
+
+@pytest.mark.parametrize("kind, step", (("gcd", "200"), ("lcm", "100000")))
+def test_discrepancy_measure_step_past_the_cap_is_refused_fast(capsys, kind, step):
+    # step**2 weighted sums: the gcd case took 9.3 s, the lcm case did not end
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "discrepancy", "--measure", kind, "-n", "64", "--step", step)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (4, "")
+    assert "capacity" in err
 
 
 def test_discrepancy_needs_parameters(capsys):

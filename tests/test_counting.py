@@ -272,7 +272,7 @@ def test_pattern_coefficient_equals_subset_lattice_inclusion_exclusion():
 def test_row_dtype_scales_with_the_largest_coefficient():
     # 3-wise r = 6 rows carry coefficients up to 100 in size; the slice sums
     # fit in int64 only when volume * _ROW_SLICE * max |c(L)| is below 2**63
-    _, W = counting._mobius_table((20,) * 6, 3, counting.shared_tables(20))
+    _, W = counting._mobius_table((20,) * 6, 3)
     wmax = int(np.abs(W).max())
     assert wmax == 100
     volume = (2**63 - 1) // counting._ROW_SLICE
@@ -289,7 +289,19 @@ def test_mobius_row_budget_refuses(monkeypatch):
     assert count_mobius(box, c).count == want
     monkeypatch.setattr(counting, "_MOBIUS_ROWS_MAX", 2068)
     with pytest.raises(CapacityError):
-        count_mobius(box, c)
+        count_mobius(box, c)  # the cached table is refused as a new one is
+
+
+def test_mobius_tables_are_replayed_read_only():
+    box = Box.cube(24, 4)
+    counting._mobius_table.cache_clear()
+    for sides in ((), (CoprimeTo(6),) * 4, (DivisibleBy(2), None, Residue(3, 1), None)):
+        c = TupleConstraint.pairwise(4, sides)
+        assert count_mobius(box, c).count == count_box_bruteforce(box, c).count
+    info = counting._mobius_table.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    A, W = counting._mobius_table(box.bounds, 2)
+    assert not A.flags.writeable and not W.flags.writeable
 
 
 def test_count_mutual_mobius_with_sides_matches_brute_up_to_128():
@@ -729,20 +741,8 @@ def test_weighted_sum_dimension_guard():
 # -- worker configuration ---------------------------------------------------------
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setattr(counting.os, "cpu_count", lambda: 8)
-    monkeypatch.setenv("COPRIME_LAB_THREADS", "3")
-    assert counting.worker_count() == 3
-    monkeypatch.setenv("COPRIME_LAB_THREADS", "0")
-    with pytest.raises(ValueError):
-        counting.worker_count()
-    monkeypatch.delenv("COPRIME_LAB_THREADS")
-    assert counting.worker_count() >= 1
-
-
-def test_worker_count_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setenv("COPRIME_LAB_THREADS", str(10**6))
-    assert counting.worker_count() == (os.cpu_count() or 1)
+def test_worker_count_capped_at_cpu_count():
+    assert 1 <= counting.worker_count() <= (os.cpu_count() or 1)
 
 
 def test_prod_of_empty_bounds_is_handled():

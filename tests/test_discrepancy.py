@@ -15,6 +15,7 @@ from coprime_lab.discrepancy import (
     FLAG_AT_CORNER,
     FLAG_LEFT_LIMIT,
     GRID_CELL_CAP,
+    MEASURE_STEP_CAP,
     build_grid,
     measure_cdf_error,
     rate_scan,
@@ -174,6 +175,9 @@ def test_measure_cdf_error_validation():
         measure_cdf_error("max", 10, 2)
     with pytest.raises(ValueError):
         measure_cdf_error("gcd", 10, 0)
+    with pytest.raises(CapacityError):
+        measure_cdf_error("gcd", 10, MEASURE_STEP_CAP + 1)
+    assert 0 < measure_cdf_error("lcm", 4, MEASURE_STEP_CAP) < 1
 
 
 def test_grid_matches_bruteforce_counts():
