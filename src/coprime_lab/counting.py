@@ -18,10 +18,8 @@ Three counting routes, all integer-exact:
   table over L <= B_i summed from the admissible values once per call, so
   every side kind is counted from its definition.  When one subset covers
   every coordinate (mutual, or k-wise with k = r) every L_i is one d, and
-  without side conditions the count is sum_d mu(d) prod_i (B_i // d): d is
-  taken in the O(sqrt(B)) runs on which every quotient is constant, and the
-  Mertens function M at the run ends comes from a sieve to about B^(2/3) plus
-  the Deléglise-Rivat recursion, so bounds up to 10**10 need no full sieve.
+  without side conditions the count is sum_d mu(d) prod_i (B_i // d), one
+  case of the quotient-set kernel below.
   Otherwise the assignments are grouped by L, whose coefficient c(L) is a
   product over primes of a factor that depends only on how many L_i the
   prime divides; a depth-first search over primes lists the rows (L, c(L))
@@ -37,7 +35,12 @@ Three counting routes, all integer-exact:
   subsets and bounds up to ``TOTH_BOUND_CAP`` here and everything else to
   ``count_mobius``.
 
-Also here: divisibility-pattern counts and the gcd/lcm weighted sums.
+The quotient-set kernel sums f(d) prod_i w(B_i // d) over the O(sqrt(B)) runs
+of d with constant quotients, taking F = sum f at the run ends from a sieve to
+about B^(2/3) and the Deléglise-Rivat recursion, so bounds up to 10**10 need no
+full sieve.  f = mu with w = id is the mutual count, f = phi with w = id the
+gcd-weighted sum, and f = J with w(q) = q(q+1)/2 the lcm-weighted sum.  Also
+here: divisibility patterns.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import ceil, comb, gcd, isqrt, prod
 
 import numpy as np
@@ -68,8 +71,7 @@ from .constraints import (
 from .errors import CapacityError, UnsupportedError
 
 BRUTE_VOLUME_CAP = 25_000_000_000
-MUTUAL_BOUND_CAP = 10**10  # a cold r=2 count at the cap: 2-5 s on 2 vCPUs
-GCD_SUM_BOUND_CAP = 10**8  # a cold gcd-weighted sum at the cap: 6-15 s
+MUTUAL_BOUND_CAP = 10**10  # cold there, 2 vCPUs: r=2 count 1.5 s, gcd sum 4.5 s, lcm sum 9 s
 GENERIC_PREFIX_CAP = 20_000_000
 ENGINE_MAX_SUBSETS = 128
 
@@ -211,9 +213,9 @@ def _side_counts(bound: int, side):
 def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
     """Exact count by enumeration; the oracle for every other method.
 
-    Specialized vectorized paths cover r in {2,3,4}; others fall back to a
-    prefix enumeration with a vectorized last coordinate.  Volume capped at
-    2.5e10.
+    Specialized vectorized paths cover r in {3,4}; others, r = 2 among them,
+    fall back to a prefix enumeration with a vectorized last coordinate.
+    Volume capped at 2.5e10.
     """
     if box.r != constraint.r:
         raise ValueError(f"box is {box.r}-dimensional, constraint wants {constraint.r}")
@@ -230,9 +232,7 @@ def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
         count = 0
     else:
         r, k = constraint.r, constraint.effective_k
-        if r == 2:
-            count = _brute_2d(vals)
-        elif r == 3 and k == 2:
+        if r == 3 and k == 2:
             count = _brute_pc3(vals)
         elif r == 3 and k == 3:
             count = _brute_c3(vals)
@@ -245,15 +245,6 @@ def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
         else:
             count = _brute_generic(vals, constraint.subsets())
     return CountResult(count=count, constraint=constraint, box=box, method=METHOD_BRUTEFORCE)
-
-
-def _brute_2d(vals) -> int:
-    v1, v2 = vals
-    total = 0
-    step = max(1, (1 << 22) // max(1, len(v2)))
-    for i in range(0, len(v1), step):
-        total += int(np.count_nonzero(np.gcd.outer(v1[i : i + step], v2) == 1))
-    return total
 
 
 def _thread_map_sum(fn, items) -> int:
@@ -488,25 +479,66 @@ def _mobius_table(bounds: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarr
     return A, W
 
 
-def _check_bound_cap(bounds, cap: int, what: str) -> None:
-    if max(bounds) > cap:
-        raise CapacityError(f"bound {max(bounds)} exceeds the {what} cap {cap}")
+def _triangle(n):
+    return n * (n + 1) // 2
 
 
-def _mertens(bounds):
-    """M(x) = sum_{d <= x} mu(d) for every x = B // k with B in ``bounds``.
+# f -> (h, G, H): f(m) = m prod_{p | m} h(p) / p (mu comes from the sieve
+# table), and sum_{k <= x} g(k) F(x // k) = H(x) with F and G the running sums
+# of f and g, as mu * 1 = [m = 1], phi * 1 = id and J * id^2 = id
+_CONVOLUTIONS = {
+    "mu": (None, lambda n: n, lambda x: 1),
+    "phi": (lambda p: p - 1, lambda n: n, _triangle),
+    "J": (lambda p: p - p * p, lambda n: n * (n + 1) * (2 * n + 1) // 6, _triangle),
+}
+
+
+@lru_cache(maxsize=3)
+def _prefix(kind: str, size: int) -> np.ndarray:
+    """F(x) = sum_{m <= x} f(m) for 0 <= x <= size, read-only, f sieved on
+    ``shared_tables(size)``: int64 where the slice totals, summed in Python
+    integers, show that every value fits, Python integers otherwise."""
+    h = _CONVOLUTIONS[kind][0]
+    tables = shared_tables(size)
+    f = tables.mobius
+    if h is not None:
+        # f(m) = f(m / p) times p if p = spf(m) divides m / p, else times h(p);
+        # m / p <= m / 2, so each slice of m needs only the slices before it
+        f = np.zeros(size + 1, dtype=np.int64)
+        f[1] = lo = 1
+        while lo < size:
+            m = np.arange(lo + 1, min(2 * lo, lo + _ROW_SLICE, size) + 1)
+            p = tables.spf[m].astype(np.int64)
+            f[m] = f[m // p] * np.where(m // p % p == 0, p, h(p))
+            lo = int(m[-1])
+    # each slice sum is at most 2**62 in absolute value; while the totals before
+    # the slices are too, every running sum fits in int64
+    step = 2**62 // max(1, int(f.max()), -int(f.min()))
+    totals = accumulate(np.add.reduceat(f, np.arange(0, len(f), step), dtype=np.int64).tolist())
+    if max(map(abs, totals)) < 2**62:
+        F = np.cumsum(f, dtype=np.int64)
+    else:
+        F = np.cumsum(f.astype(object))
+    F.flags.writeable = False
+    return F
+
+
+def _summatory(bounds, kind: str):
+    """F(x) = sum_{m <= x} f(m), f = ``kind``, as a callable on every x = B // k
+    with B in ``bounds``, which may be at most MUTUAL_BOUND_CAP.
 
     Values up to the limit y of one sieve table, y >= max(bounds)**(2/3), are
-    its running Möbius sum.  Each larger x (at most B // y of them per B)
-    takes, in increasing order, M(x) = 1 - sum_{k >= 2} M(x // k): the terms
-    with x // k <= s = isqrt(x) in one dot product of M(q) with the run
-    lengths x // q - x // (q + 1), the other k <= x // (s + 1) one by one,
-    from the table or from the larger values already found (Deléglise &
-    Rivat, Exp. Math. 5, 1996).  Returns M as a callable on those x.
-    """
-    tables = shared_tables(ceil(max(bounds) ** (2 / 3)))
-    y = tables.limit
-    small = np.cumsum(tables.mobius, dtype=np.int64)
+    ``_prefix`` entries.  Each larger x (at most B // y of them per B) takes,
+    in increasing order, F(x) = H(x) - sum_{k >= 2} g(k) F(x // k): the k
+    with x // k = q <= s = isqrt(x) in one dot product of F(q) with their
+    weights G(x // q) - G(x // (q + 1)), the other k one by one, from the
+    table or from the larger x already found (Deléglise & Rivat, Exp. Math. 5,
+    1996)."""
+    if max(bounds) > MUTUAL_BOUND_CAP:
+        raise CapacityError(f"bound {max(bounds)} exceeds the cap {MUTUAL_BOUND_CAP}")
+    _, G, H = _CONVOLUTIONS[kind]
+    y = shared_tables(ceil(max(bounds) ** (2 / 3))).limit
+    small = _prefix(kind, y)
     points = set()
     for b in bounds:
         k = np.arange(1, isqrt(b) + 1, dtype=np.int64)
@@ -514,38 +546,36 @@ def _mertens(bounds):
     xs = sorted(points)
     cut = bisect_right(xs, y)
     memo = dict(zip(xs[:cut], small[xs[:cut]].tolist()))
+    peak = 6 * max(int(small.max()), -int(small.min()))
     for x in xs[cut:]:
         s = isqrt(x)
-        xq = x // np.arange(1, s + 2, dtype=np.int64)
-        total = int(np.dot(small[1 : s + 1], xq[:-1] - xq[1:]))
-        top = x // (s + 1)
         big = x // (y + 1)
-        total += sum(memo[x // k] for k in range(2, big + 1))
-        total += int(small[x // np.arange(big + 1, top + 1, dtype=np.int64)].sum())
-        memo[x] = 1 - total
+        ends = x // np.arange(1, s + 2, dtype=np.int64)
+        k = np.arange(big, x // (s + 1) + 1, dtype=np.int64)
+        Fq, Fk = small[1 : s + 1], small[x // k[1:]]
+        # the weights sum to at most G(x), and G's own products stay below
+        # 6 G(x): int64 holds every partial sum when peak * G(x) < 2**63
+        if peak * G(x) >= 2**63:
+            ends, k, Fq, Fk = (a.astype(object) for a in (ends, k, Fq, Fk))
+        Ge, Gk = G(ends), G(k)
+        total = int(np.dot(Fq, Ge[:-1] - Ge[1:])) + int(np.dot(Fk, Gk[1:] - Gk[:-1]))
+        total += sum((G(j) - G(j - 1)) * memo[x // j] for j in range(2, big + 1))
+        memo[x] = H(x) - total
     return memo.__getitem__
 
 
-def _runs(bounds):
-    """The maximal runs lo..hi of d <= min(bounds) on which every B // d is
-    constant, as (lo, hi, [B // d for B in bounds])."""
-    d, m = 1, min(bounds)
-    while d <= m:
-        quotients = [b // d for b in bounds]
-        hi = min([b // q for b, q in zip(bounds, quotients)])
-        yield d, hi, quotients
-        d = hi + 1
-
-
-def _mutual_sum(bounds, M) -> int:
-    """sum_d mu(d) prod_i (B_i // d) in Python integers, one term per run of
-    d.  M must be defined at every B_i // k, as ``_mertens`` of these bounds
-    is, or of bounds whose quotients include them."""
+def _run_sum(bounds, F, w=None) -> int:
+    """sum_d f(d) prod_i w(B_i // d) in Python integers (w = None: the identity),
+    one term per run of d on which every B_i // d is constant, with F the
+    running sum of f at every B_i // k, such as ``_summatory`` of the bounds."""
     total = prev = 0
-    for _, hi, quotients in _runs(bounds):
-        m = M(hi)
-        total += (m - prev) * prod(quotients)
-        prev = m
+    d, last = 1, min(bounds)
+    while d <= last:
+        quotients = [b // d for b in bounds]
+        d = min([b // q for b, q in zip(bounds, quotients)]) + 1
+        now = F(d - 1)
+        total += (now - prev) * prod(quotients if w is None else map(w, quotients))
+        prev = now
     return total
 
 
@@ -563,8 +593,8 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
     """Exact count via Möbius inclusion-exclusion over the constrained subsets.
 
     Handles every class and side-condition combination.  A single subset over
-    every coordinate is summed over squarefree d: without side conditions over
-    the runs of d with Mertens values (bounds up to MUTUAL_BOUND_CAP), with
+    every coordinate is summed over squarefree d: without side conditions by
+    the quotient-set kernel with f = mu (bounds up to MUTUAL_BOUND_CAP), with
     them as one vectorized sum of mu(d) prod_i N_i(d).  Every other class sums
     the rows of ``_mobius_table``, whose sieve caps bounds at 10**8; systems
     of more than ENGINE_MAX_SUBSETS subsets are refused.
@@ -576,8 +606,7 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
         return CountResult(count=0, constraint=constraint, box=box, method=METHOD_MOBIUS)
     one_subset = constraint.effective_k == constraint.r
     if one_subset and all(s is None for s in constraint.sides):
-        _check_bound_cap(box.bounds, MUTUAL_BOUND_CAP, "mutual-count")
-        count = _mutual_sum(box.bounds, _mertens(box.bounds))
+        count = _run_sum(box.bounds, _summatory(box.bounds, "mu"))
         return CountResult(count=count, constraint=constraint, box=box, method=METHOD_MOBIUS)
     counts = [_side_counts(b, side) for b, side in zip(box.bounds, constraint.sides)]
     volume = box.volume()
@@ -854,53 +883,22 @@ def pattern_count(n: int, pattern: PatternMatrix, alpha) -> CountResult:
 
 
 def weighted_sum_gcd(n: int, alpha) -> int:
-    """Exact sum of gcd(x, y) over x <= floor(n a), y <= floor(n b).
-
-    Grouping the pairs by their gcd d gives sum over d of d * C(A // d, B // d),
-    where C(a, b) = sum over k of mu(k) floor(a/k) floor(b/k) counts the
-    coprime pairs of [1, a] x [1, b].  The d are taken in the runs on which
-    (A // d, B // d) is constant, each run weighted by the sum of its d, and
-    every C is a run-grouped Mertens sum on one table of M at the quotients
-    of A and B.  The totient form sum_e phi(e) floor(A/e) floor(B/e) is a test
-    oracle.
-    """
-    box = Box.from_alpha(n, alpha)
-    if box.r != 2:
-        raise ValueError("gcd-weighted sums are defined for 2-dimensional boxes")
-    _check_bound_cap(box.bounds, GCD_SUM_BOUND_CAP, "gcd-sum")
-    M = _mertens(box.bounds)
-    return sum(
-        (lo + hi) * (hi - lo + 1) // 2 * _mutual_sum(quotients, M)
-        for lo, hi, quotients in _runs(box.bounds)
-    )
+    """Exact sum of gcd(x, y) over x <= A = floor(n a), y <= B = floor(n b),
+    A and B up to MUTUAL_BOUND_CAP: gcd(x, y) sums phi over the common
+    divisors, so this is sum_e phi(e) floor(A/e) floor(B/e)."""
+    return _pair_sum(n, alpha, "gcd", "phi", None)
 
 
 def weighted_sum_lcm(n: int, alpha) -> int:
-    """Exact sum of lcm(x, y) over the box, grouped by the gcd.
+    """Exact sum of lcm(x, y) over x <= A = floor(n a), y <= B = floor(n b),
+    A and B up to MUTUAL_BOUND_CAP: grouped by the gcd it is
+    sum_m J(m) T(floor(A/m)) T(floor(B/m)), T(q) = q(q+1)/2 and
+    J(m) = m prod_{p | m} (1 - p)."""
+    return _pair_sum(n, alpha, "lcm", "J", _triangle)
 
-    With S(m) = m(m+1)/2 and J(m) = m * prod over p | m of (1 - p):
-    sum lcm = sum over m of J(m) S(floor(A/m)) S(floor(B/m)).  Intermediate
-    magnitudes stay below sum A^2 B^2 / (4 m^2) ~ 0.45 n^4, int64-safe up to
-    n ~ 6e4, far past the grid budget; larger n raises a capacity error.
-    """
+
+def _pair_sum(n: int, alpha, name: str, kind: str, w) -> int:
     box = Box.from_alpha(n, alpha)
     if box.r != 2:
-        raise ValueError("lcm-weighted sums are defined for 2-dimensional boxes")
-    A, B = box.bounds
-    m = min(A, B)
-    if m == 0:
-        return 0
-    if n > 60_000:
-        raise CapacityError("lcm-weighted sums overflow 64-bit safety above n = 60000")
-    tables = shared_tables(m)
-    J = np.arange(m + 1, dtype=np.int64)
-    for p in tables.primes:
-        p = int(p)
-        if p > m:
-            break
-        J[p::p] *= 1 - p
-    idx = np.arange(1, m + 1, dtype=np.int64)
-    fa = A // idx
-    fb = B // idx
-    terms = J[1:] * (fa * (fa + 1) // 2) * (fb * (fb + 1) // 2)
-    return int(terms.sum())
+        raise ValueError(f"{name}-weighted sums are defined for 2-dimensional boxes")
+    return _run_sum(box.bounds, _summatory(box.bounds, kind), w)

@@ -500,6 +500,18 @@ def test_discrepancy_measure_step_past_the_cap_is_refused_fast(capsys, kind, ste
     assert "capacity" in err
 
 
+@pytest.mark.parametrize(
+    "argv", (("--class", "mutual", "-r", "30"), ("--class", "kwise", "-r", "40", "-k", "20"))
+)
+def test_discrepancy_grid_cap_counts_every_cell(capsys, argv):
+    # n**r = 1 passed a cap that the (n+1)**r cells of the grid do not
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "discrepancy", *argv, "-n", "1")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (4, "")
+    assert "cells" in err
+
+
 def test_discrepancy_needs_parameters(capsys):
     code, _, _ = run_cli(capsys, "discrepancy", "--class", "mutual", "-r", "2")
     assert code == 2

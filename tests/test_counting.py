@@ -5,8 +5,9 @@ import os
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, gcd, lcm, prod
+from functools import lru_cache
+from itertools import accumulate, combinations, product
+from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 import pytest
@@ -424,9 +425,65 @@ def test_mutual_route_equals_bruteforce_randomized():
         assert got == count_box_bruteforce(box, c).count, (trial, c.describe(), bounds)
 
 
+@lru_cache(maxsize=1)
+def _python_sieves(limit: int) -> tuple[list[int], list[int]]:
+    """phi(m) and J(m) = m prod_{p | m} (1 - p) for m <= limit as Python ints,
+    sieved in int64, which |J(m)| <= m**2 < 2**63 allows."""
+    phi = np.arange(limit + 1, dtype=np.int64)
+    J, rest = phi.copy(), phi.copy()
+    for p in range(2, isqrt(limit) + 1):
+        if rest[p] == p:  # no smaller prime divides p
+            phi[p::p] -= phi[p::p] // p
+            J[p::p] *= 1 - p
+            power = p
+            while power <= limit:
+                rest[power::power] //= p
+                power *= p
+    # what is left of m > 1 is its one prime factor above isqrt(limit)
+    m = np.flatnonzero(rest > 1)
+    p = rest[m]
+    phi[m] -= phi[m] // p
+    J[m] *= 1 - p
+    return phi.tolist(), J.tolist()
+
+
+def test_summatory_matches_python_sieves():
+    limit = 1 << 22
+    for kind, f in zip(("phi", "J"), _python_sieves(limit)):
+        F = list(accumulate(f))
+        # the table itself: sum |J| passes 2**63 at this size, so J's int64
+        # table rests on slice totals summed in Python ints
+        table = counting._prefix(kind, limit)
+        assert not table.flags.writeable
+        assert table.tolist() == F, kind
+        # every quotient point, most of them past the table of their bounds
+        for bounds in ((limit,), (4_000_000, 2_999_999), (10**6, 7)):
+            S = counting._summatory(bounds, kind)
+            for b in bounds:
+                for x in {b // k for k in range(1, isqrt(b) + 1)} | set(range(1, isqrt(b) + 1)):
+                    assert S(x) == F[x], (kind, bounds, x)
+
+
+def test_prefix_falls_back_to_python_ints(monkeypatch):
+    # f(m) = m rad(m)**3 <= 2**56 on [0, 2**14], but its running sums pass 2**63
+    size = 1 << 14
+    monkeypatch.setitem(counting._CONVOLUTIONS, "quartic", (lambda p: p**4, None, None))
+    rad = [1] * (size + 1)
+    for p in range(2, size + 1):
+        if rad[p] == 1:
+            rad[p::p] = [v * p for v in rad[p::p]]
+    want = list(accumulate(m * rad[m] ** 3 for m in range(size + 1)))
+    assert want[-1] > 2**63
+    try:
+        F = counting._prefix("quartic", size)
+        assert F.dtype == object and F.tolist() == want
+    finally:
+        counting._prefix.cache_clear()
+
+
 def test_mertens_matches_published_values():
     # OEIS A084237: M(10**k) for k = 0..8
-    M = counting._mertens((10**8,))
+    M = counting._summatory((10**8,), "mu")
     want = (1, -1, 1, 2, -23, -48, 212, 1037, 1928)
     assert tuple(M(10**k) for k in range(9)) == want
 
@@ -437,8 +494,9 @@ def test_mutual_route_refuses_over_cap_before_sieving(monkeypatch):
     n = counting.MUTUAL_BOUND_CAP + 1
     with pytest.raises(CapacityError):
         count_mobius(Box(bounds=(n, 5), n=n), TupleConstraint.mutual(2))
-    with pytest.raises(CapacityError):
-        weighted_sum_gcd(counting.GCD_SUM_BOUND_CAP + 1, (1, 1))
+    for weighted_sum in (weighted_sum_gcd, weighted_sum_lcm):
+        with pytest.raises(CapacityError):
+            weighted_sum(n, (1, 1))
     assert built == []
 
 
@@ -728,9 +786,14 @@ def test_weighted_sum_gcd_totient_identity_large_n():
     assert weighted_sum_gcd(n, alpha) == sum(phi[e] * (A // e) * (B // e) for e in range(1, A + 1))
 
 
-def test_weighted_sum_lcm_capacity():
-    with pytest.raises(CapacityError):
-        weighted_sum_lcm(60_001, (1, 1))
+def test_weighted_sum_lcm_past_int64():
+    # sum lcm is about 0.45 n**4, past int64 here
+    n = 10**5
+    _, J = _python_sieves(n)
+    T = [q * (q + 1) // 2 for q in range(n + 1)]
+    want = sum(J[m] * T[n // m] * T[n // m] for m in range(1, n + 1))
+    assert want > 2**63
+    assert weighted_sum_lcm(n, (1, 1)) == want
 
 
 def test_weighted_sum_dimension_guard():

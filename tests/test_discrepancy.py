@@ -170,6 +170,12 @@ def test_measure_cdf_error_lcm_small_case():
     assert measure_cdf_error("lcm", n, step) == pytest.approx(float(worst))
 
 
+def test_measure_cdf_error_gcd_rate():
+    # the paper's rate: the gcd measure's CDF error decays like 1/log n
+    assert measure_cdf_error("gcd", 10**5, 8) == 0.025720110252520825
+    assert 0.29 <= measure_cdf_error("gcd", 10**6, 8) * log(10**6) <= 0.31
+
+
 def test_measure_cdf_error_validation():
     with pytest.raises(ValueError):
         measure_cdf_error("max", 10, 2)
