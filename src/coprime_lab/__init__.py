@@ -20,15 +20,8 @@ The command-line interface (``coprime-lab``) exposes the same four areas.
 from .arith import (
     ArithTables,
     build_tables,
-    euler_phi,
     factor_small,
     factorize,
-    jordan_totient,
-    mobius_of,
-    psi,
-    radical,
-    squarefree_divisor_count,
-    toth_factor,
 )
 from .constants import (
     Interval,
@@ -59,7 +52,6 @@ from .counting import (
     pattern_count,
     weighted_sum_gcd,
     weighted_sum_lcm,
-    worker_count,
 )
 from .discrepancy import (
     CountGrid,
@@ -100,28 +92,20 @@ __all__ = [
     "count_toth",
     "density",
     "estimate",
-    "euler_phi",
     "factor_small",
     "factorize",
-    "jordan_totient",
     "kwise_constant",
     "measure_cdf_error",
     "member",
     "member_bulk",
-    "mobius_of",
     "pairwise_constant",
     "pattern_count",
-    "psi",
-    "radical",
     "rate_scan",
     "sample_stream",
     "splitmix64",
-    "squarefree_divisor_count",
     "sup_discrepancy",
-    "toth_factor",
     "weighted_sum_gcd",
     "weighted_sum_lcm",
-    "worker_count",
     "zeta",
     "zeta_reciprocal",
 ]

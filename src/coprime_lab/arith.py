@@ -1,22 +1,9 @@
-"""Prime tables and the multiplicative functions behind the density formulas.
-
-Conventions:
-
-* ``mobius`` is the Moebius function with ``mobius[1] = 1``.
-* ``jordan_totient(r, a)`` is ``a**r * prod(1 - p**-r)`` over primes ``p | a``;
-  ``r = 1`` is Euler's phi.  Always an integer.
-* ``psi(s, a)`` is the multiplicative function with ``psi(s, p**n) =
-  p**n * (1 + s/p)``, i.e. ``a * prod(1 + s/p)`` over ``p | a``.  ``s = 0`` is
-  the identity map, ``s = -1`` is Euler's phi, ``s = 1`` is the classical
-  Dedekind psi.  Integer-valued for integer ``s >= -1``.
-* ``toth_factor(r, u)`` is the rational ``prod((p - 1) / (p + r - 1))`` over
-  ``p | u``, which equals ``phi(u) / psi(r - 1, u)``.
-"""
+"""Prime tables: the smallest-prime-factor and Moebius sieve, factorization,
+and signed products of distinct primes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -127,82 +114,6 @@ def factor_small(m: int) -> tuple[tuple[int, int], ...]:
 def prime_divisors(m: int) -> tuple[int, ...]:
     """Distinct primes dividing ``m`` (empty for ``m = 1``)."""
     return tuple(p for p, _ in factor_small(m))
-
-
-def radical(m: int) -> int:
-    """Product of the distinct primes dividing ``m``; ``radical(1) == 1``."""
-    out = 1
-    for p in prime_divisors(m):
-        out *= p
-    return out
-
-
-def mobius_of(m: int) -> int:
-    """mu(m) by trial division (use the table for bulk work)."""
-    fac = factor_small(m)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def euler_phi(a: int) -> int:
-    """Euler's totient."""
-    return jordan_totient(1, a)
-
-
-def jordan_totient(r: int, a: int) -> int:
-    """Jordan totient ``a**r * prod(1 - p**-r)`` over ``p | a``.
-
-    ``r >= 1``, ``a >= 1``.  Multiplicative; on prime powers equals
-    ``p**(r*e) - p**(r*(e-1))``.
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    out = 1
-    for p, e in factor_small(a):
-        out *= p ** (r * (e - 1)) * (p**r - 1)
-    return out
-
-
-def psi(s: int, a: int) -> int:
-    """The multiplicative function with ``psi(s, p**n) = p**n * (1 + s/p)``.
-
-    ``s`` must be an integer ``>= -1`` (so values stay nonnegative integers);
-    ``a >= 1``.  ``psi(0, a) = a``; ``psi(-1, a) = phi(a)``.
-    """
-    if not isinstance(s, int) or s < -1:
-        raise ValueError(f"s must be an integer >= -1, got {s!r}")
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    out = 1
-    for p, e in factor_small(a):
-        out *= p ** (e - 1) * (p + s)
-    return out
-
-
-def squarefree_divisor_count(u: int) -> int:
-    """Number of squarefree divisors of ``u``, i.e. ``2**omega(u)``."""
-    if u < 1:
-        raise ValueError(f"u must be >= 1, got {u}")
-    return 1 << len(factor_small(u))
-
-
-def toth_factor(r: int, u: int) -> Fraction:
-    """Exact ``prod((p - 1) / (p + r - 1))`` over the primes ``p | u``.
-
-    equals ``Fraction(euler_phi(u), psi(r - 1, u))`` in lowest terms; kept as
-    its own product so the identity can be tested rather than assumed.
-    """
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if u < 1:
-        raise ValueError(f"u must be >= 1, got {u}")
-    out = Fraction(1)
-    for p in prime_divisors(u):
-        out *= Fraction(p - 1, p + r - 1)
-    return out
 
 
 def signed_subset_products(primes, cap: int | None = None) -> tuple[tuple[int, int], ...]:

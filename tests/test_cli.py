@@ -500,6 +500,16 @@ def test_discrepancy_measure_step_past_the_cap_is_refused_fast(capsys, kind, ste
     assert "capacity" in err
 
 
+@pytest.mark.parametrize("kind, n", (("gcd", "10000000000"), ("lcm", "100000000")))
+def test_discrepancy_measure_work_past_two_capped_sums_is_refused_fast(capsys, kind, n):
+    # 1,025 weighted sums: about an hour of work for the gcd case
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "discrepancy", "--measure", kind, "-n", n, "--step", "32")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (4, "")
+    assert "weighted sums" in err
+
+
 @pytest.mark.parametrize(
     "argv", (("--class", "mutual", "-r", "30"), ("--class", "kwise", "-r", "40", "-k", "20"))
 )

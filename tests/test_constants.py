@@ -29,7 +29,12 @@ from coprime_lab.constants import (
 from coprime_lab.constraints import Box, CoprimeTo, DivisibleBy, Residue, TupleConstraint
 from coprime_lab.counting import count_box
 
-from closed_forms import closed_form_factor, grouping_factor, pairwise_coprime_vectors
+from closed_forms import (
+    closed_form_factor,
+    grouping_factor,
+    pairwise_coprime_vectors,
+    toth_factor,
+)
 from euler_reference import kwise_endpoints, primes_up_to
 
 mpmath.mp.dps = 40
@@ -216,7 +221,7 @@ def test_grouping_collapse_single_coordinate_blocks():
 def test_grouping_collapse_single_block():
     # every coordinate coprime to u is the uniform coprime-to-u thinning
     c = TupleConstraint.pairwise(3, (CoprimeTo(6),) * 3)
-    assert correction_factor(c) == arith.toth_factor(3, 6)
+    assert correction_factor(c) == toth_factor(3, 6)
 
 
 def test_zero_local_factor_gives_an_exact_zero_interval():

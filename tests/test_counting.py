@@ -1,9 +1,9 @@
 """Counting paths: brute force, subset-Möbius engine, recursive pairwise
 counter, divisibility patterns, and weighted gcd/lcm sums."""
 
-import os
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, product
@@ -36,6 +36,8 @@ from coprime_lab.counting import (
     weighted_sum_lcm,
 )
 from coprime_lab.errors import CapacityError, UnsupportedError
+
+from closed_forms import euler_phi
 
 
 def oracle_count(box: Box, constraint: TupleConstraint) -> int:
@@ -355,6 +357,86 @@ def test_class_nesting():
 def test_bruteforce_volume_cap():
     with pytest.raises(CapacityError):
         count_box_bruteforce(Box.cube(200_000, 2), TupleConstraint.mutual(2))
+
+
+# -- brute-force kernels --------------------------------------------------------
+
+
+def _two_shared_sides(rng: random.Random, r: int) -> tuple:
+    """Random sides of every kind, moduli from SHARED_MODULI, on two random
+    coordinates (sides on more make most small-box counts zero)."""
+    sides = [None] * r
+    for i in rng.sample(range(r), 2):
+        a = rng.choice(SHARED_MODULI)
+        sides[i] = rng.choice((CoprimeTo(a), DivisibleBy(a), Residue(a, rng.randrange(a))))
+    return tuple(sides)
+
+
+def test_brute_kernels_equal_the_generic_enumeration():
+    # r = 2..6, moduli that share primes, ragged and zero bounds; the 7-cell
+    # block runs the block loops that the default block size skips here
+    rng = random.Random(20261019)
+    caps = {2: 60, 3: 30, 4: 16, 5: 10, 6: 8}
+    kinds_seen = set()
+    for trial in range(150):
+        r = 2 + trial % 5
+        sides = _two_shared_sides(rng, r)
+        kinds_seen.update(type(s).__name__ for s in sides if s is not None)
+        n = caps[r]
+        bounds = [rng.randint(n // 2, n) for _ in range(r)]
+        if trial % 7 == 0:
+            bounds[rng.randrange(r)] = 0
+        vals = [counting._allowed_values(b, side) for b, side in zip(bounds, sides)]
+        kernels = [(r, counting._brute_mutual)]
+        if r >= 3:
+            kernels.append((2, counting._brute_pairwise))
+        for k, kernel in kernels:
+            want = counting._brute_generic(vals, tuple(combinations(range(r), k)))
+            for block in (counting._BRUTE_BLOCK, 7):
+                assert kernel(vals, block) == want, (trial, k, bounds, sides, block)
+    assert kinds_seen == {"CoprimeTo", "DivisibleBy", "Residue"}
+
+
+def test_engines_equal_bruteforce_up_to_r8():
+    # k = 2 and k = r at r = 5..8, ragged bounds, sides of every kind
+    rng = random.Random(58)
+    caps = {5: 14, 6: 10, 7: 8, 8: 7}
+    for trial in range(16):
+        r = 5 + trial % 4
+        n = caps[r]
+        bounds = tuple(rng.randint(n - 3, n) for _ in range(r))
+        box = Box(bounds=bounds, n=n)
+        for k in (2, r):
+            c = TupleConstraint.kwise(r, k, _two_shared_sides(rng, r))
+            want = count_box_bruteforce(box, c).count
+            assert count_mobius(box, c).count == want, (trial, c.describe(), bounds)
+            assert count_box(box, c).count == want, (trial, c.describe(), bounds)
+            if k == 2:
+                assert count_toth(bounds, sides=c.sides).count == want, (trial, c.describe())
+
+
+def test_mutual_bruteforce_on_a_thin_box_is_fast():
+    # the widest coordinate meets only the distinct gcds of the others:
+    # 4 * 10**5 gcds, not 2 * 10**10
+    box, c = Box(bounds=(10**5, 10**5, 2), n=10**5), TupleConstraint.mutual(3)
+    start = time.perf_counter()
+    got = count_box_bruteforce(box, c).count
+    assert time.perf_counter() - start < 1
+    assert got == count_mobius(box, c).count
+
+
+def test_pairwise_bruteforce_memory_stays_below_the_product_of_two_bounds():
+    # one 3000 x 3000 coprimality matrix is 72 MB of int64 gcds alone; the
+    # kernel takes its rows in blocks
+    box = Box(bounds=(3000, 3000, 1), n=3000)
+    tracemalloc.start()
+    try:
+        got = count_box_bruteforce(box, TupleConstraint.pairwise(3)).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert got == count_mobius(Box.cube(3000, 2), TupleConstraint.mutual(2)).count
 
 
 # -- side-condition tables and exact accumulation -----------------------------
@@ -770,7 +852,7 @@ def test_weighted_sum_gcd_totient_identity():
     for n in (19, 64):
         direct = weighted_sum_gcd(n, (1, 1))
         via_phi = sum(
-            counting.arith.euler_phi(e) * (n // e) * (n // e) for e in range(1, n + 1)
+            euler_phi(e) * (n // e) * (n // e) for e in range(1, n + 1)
         )
         assert direct == via_phi
 
@@ -799,13 +881,6 @@ def test_weighted_sum_lcm_past_int64():
 def test_weighted_sum_dimension_guard():
     with pytest.raises(ValueError):
         weighted_sum_gcd(5, (1, 1, 1))
-
-
-# -- worker configuration ---------------------------------------------------------
-
-
-def test_worker_count_capped_at_cpu_count():
-    assert 1 <= counting.worker_count() <= (os.cpu_count() or 1)
 
 
 def test_prod_of_empty_bounds_is_handled():
