@@ -35,8 +35,9 @@ from .constraints import MAX_R, CoprimeTo, Residue, TupleConstraint
 from .errors import CapacityError
 
 DEFAULT_PRIME_CUTOFF = 10**6
-# primes per numpy object array in the Python-int tier of kwise_constant
-_OBJECT_CHUNK = 2**16
+# array length of one chunk of zeta terms, and of one numpy object array in
+# the Python-int tier of kwise_constant, to bound their memory
+_CHUNK = 2**16
 
 
 def _up(x: float) -> float:
@@ -97,56 +98,71 @@ class Interval:
         return Interval(lo, hi)
 
 
-def _exact_sum(terms: np.ndarray) -> float:
-    """The correctly rounded sum of a nonempty array of positive,
-    nonincreasing float64 terms; it equals ``math.fsum(terms)`` bit for bit.
+def _exact_sum(chunks) -> float:
+    """The correctly rounded sum of positive, nonincreasing float64 terms,
+    given as an iterable of nonempty arrays; it equals ``math.fsum`` of all
+    the terms bit for bit.
 
     Each term is m * 2**(e - 53) with a 53-bit integer mantissa m.  The terms
     are nonincreasing, so their exponents e are too, and the terms of one
-    exponent form one contiguous run.  The mantissas are split into a 27-bit
-    high and a 26-bit low half and each half is summed per run in int64,
-    which stays exact while len(terms) < 2**36.  The runs join into one
-    Python int N, and N / 2**E is rounded once, correctly, by int division.
+    exponent form one contiguous run, which may go on into the next chunk.
+    Within a chunk the mantissas are split into a 27-bit high and a 26-bit
+    low half and each half is summed per run in int64, which stays exact
+    while a chunk has fewer than 2**36 terms.  The runs join into one Python
+    int N, shifted left as the exponent falls, and N / 2**E is rounded once,
+    correctly, by int division.
     """
-    frac, exp = np.frexp(terms)
-    mant = (frac * 2.0**53).astype(np.int64)  # exact: frac has 53 bits
-    starts = np.flatnonzero(np.diff(exp, prepend=exp[0] + 1))
-    highs = np.add.reduceat(mant >> 26, starts).tolist()
-    lows = np.add.reduceat(mant & (2**26 - 1), starts).tolist()
-    exps = exp[starts].tolist()
-    low_exp = exps[-1]
-    total = sum(((h << 26) + lo) << (e - low_exp) for h, lo, e in zip(highs, lows, exps))
+    total, low_exp = 0, 0
+    for terms in chunks:
+        frac, exp = np.frexp(terms)
+        mant = (frac * 2.0**53).astype(np.int64)  # exact: frac has 53 bits
+        starts = np.flatnonzero(np.diff(exp, prepend=exp[0] + 1))
+        highs = np.add.reduceat(mant >> 26, starts).tolist()
+        lows = np.add.reduceat(mant & (2**26 - 1), starts).tolist()
+        for h, lo, e in zip(highs, lows, exp[starts].tolist()):
+            # total is 0 only before the first run, where low_exp means nothing
+            total = (total << (low_exp - e) if total else 0) + (h << 26) + lo
+            low_exp = e
     shift = 53 - low_exp
     return total / (1 << shift) if shift >= 0 else float(total << -shift)
 
 
-def _zeta_terms(r: int) -> np.ndarray:
+def _zeta_cutoff(r: int) -> int:
+    """M = max(64, ceil((4e12)^(1/r))), so M^-r <= 2.5e-13 keeps the tail
+    bracket width comfortably under 1e-12."""
+    return max(64, math.ceil((4 * 10**12) ** (1.0 / r)))
+
+
+def _zeta_terms(r: int):
     """The terms 1/m^r, m = 1..M, of zeta(r)'s partial sum, each correctly
-    rounded.  M = max(64, ceil((4e12)^(1/r))), so M^-r <= 2.5e-13 keeps the
-    tail bracket width comfortably under 1e-12."""
-    m_terms = max(64, math.ceil((4 * 10**12) ** (1.0 / r)))
-    if m_terms**r < 2**53:
-        # every m**r is exact in int64 and in float64, so each term is the
-        # same correctly rounded quotient as 1.0 / (m**r) in Python
-        return 1.0 / (np.arange(1, m_terms + 1, dtype=np.int64) ** r).astype(np.float64)
-    return np.array([1.0 / (m**r) for m in range(1, m_terms + 1)])
+    rounded, in arrays of ``_CHUNK`` terms."""
+    m_terms = _zeta_cutoff(r)
+    # while every m**r is exact in int64 and in float64, each term is the
+    # same correctly rounded quotient as 1.0 / (m**r) in Python
+    exact = m_terms**r < 2**53
+    for start in range(1, m_terms + 1, _CHUNK):
+        m = np.arange(start, min(start + _CHUNK, m_terms + 1), dtype=np.int64)
+        if exact:
+            yield 1.0 / (m**r).astype(np.float64)
+        else:
+            yield np.array([1.0 / (v**r) for v in m.tolist()])
 
 
 @lru_cache(maxsize=None)
 def zeta(r: int) -> Interval:
     """Enclosure of zeta(r) for 2 <= r <= 64, width well under 1e-12.
 
-    Partial sum of M exact terms (``_exact_sum`` keeps the summation
-    correctly rounded), plus the integral tail bracket
+    Partial sum of M exact terms (``_zeta_cutoff``), made and summed
+    ``_CHUNK`` terms at a time so that memory stays a few MB; ``_exact_sum``
+    keeps the summation correctly rounded.  Plus the integral tail bracket
     [M^(1-r)/(r-1) - M^(-r), M^(1-r)/(r-1)]; ends nudged outward a few ulps
     to cover the per-term rounding.
     """
     if not 2 <= r <= MAX_R:
         raise ValueError(f"r must be in [2, {MAX_R}], got {r}")
-    terms = _zeta_terms(r)
-    m_terms = len(terms)
-    partial = _exact_sum(terms)
-    tail_hi = m_terms ** (1 - r) / (r - 1) if r > 1 else math.inf
+    m_terms = _zeta_cutoff(r)
+    partial = _exact_sum(_zeta_terms(r))
+    tail_hi = m_terms ** (1 - r) / (r - 1)
     tail_lo = tail_hi - m_terms ** (-r)
     lo = partial + tail_lo
     hi = partial + tail_hi
@@ -200,8 +216,8 @@ def kwise_constant(r: int, k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
     split = bisect_left(primes, 2**53, key=lambda p: int(p) ** r)
     factors = [euler_factors(primes[:split].astype(np.int64) - 1)]
     factors += [
-        euler_factors(primes[start : start + _OBJECT_CHUNK].astype(object) - 1)
-        for start in range(split, len(primes), _OBJECT_CHUNK)
+        euler_factors(primes[start : start + _CHUNK].astype(object) - 1)
+        for start in range(split, len(primes), _CHUNK)
     ]
     factors = np.concatenate(factors)
     # round each factor outward once, then multiply sequentially, rounding

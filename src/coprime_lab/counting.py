@@ -208,13 +208,20 @@ def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
     k = r, and r = 2) goes to ``_brute_mutual``, every pairwise-type class
     (subset size 2) with r >= 3 to ``_brute_pairwise``, k-wise (4, 3) to
     ``_brute_k34``, and the other k-wise classes to the prefix enumeration
-    ``_brute_generic``.  Volume capped at 2.5e10.
+    ``_brute_generic``.  Volume capped at 2.5e10, each coordinate bound at
+    ``arith.TABLE_LIMIT_MAX``.
     """
     if box.r != constraint.r:
         raise ValueError(f"box is {box.r}-dimensional, constraint wants {constraint.r}")
     if box.volume() > BRUTE_VOLUME_CAP:
         raise CapacityError(
             f"box volume {box.volume()} exceeds the brute-force cap {BRUTE_VOLUME_CAP}"
+        )
+    # each coordinate's admissible values are an array over its whole bound
+    if max(box.bounds) > arith.TABLE_LIMIT_MAX:
+        raise CapacityError(
+            f"coordinate bound {max(box.bounds)} exceeds the brute-force cap "
+            f"{arith.TABLE_LIMIT_MAX} on one coordinate"
         )
     _check_subset_cap(constraint)
     vals = [

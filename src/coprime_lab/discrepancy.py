@@ -7,16 +7,23 @@ product-uniform CDF is therefore attained (or approached) at cell corners.
 so the reported maximizer is deterministic and the value is the true
 supremum, not a sample.
 
-Both the prefix grid and the scan walk slabs of about ``_SLAB_CELLS`` cells
-along the first axis.  ``build_grid`` fills its int32 grid in place: per slab,
-membership is marked from the class's definition (for each prime p <= n and
-each constrained subset S, the strided block of multiples of p on S's axes is
-cleared, and the side masks are ANDed in), then summed.  ``sup_discrepancy``
-scales each slab to int64 in one reused buffer and keeps a running maximum.
-So the memory a grid costs is the grid itself, 4 bytes per cell, plus a few
-MB for one slab: about 4 GB at ``GRID_CELL_CAP``.  Time is about 22 ns per
-cell (r = 3, n = 630, a 1 GB grid: 3.8 s to build, 1.7 s to scan, peak RSS
-1.0 GB on a 2-vCPU machine), so a grid at the cap takes about 20 s.
+Everything walks slabs of about ``_SLAB_CELLS`` cells along the first axis.
+Membership is marked per slab from the class's definition (for each prime
+p <= n and each constrained subset S, the strided block of multiples of p on
+S's axes is cleared, and the side masks are ANDed in).  The prefix counts of
+a slab take one cumulative sum per inner axis and a running add of the row
+before along the first axis.  The scan keeps a running maximum over the
+slabs in two reused int64 buffers.
+
+Only ``build_grid`` holds (n+1)^r cells, as an int32 grid of 4 bytes a cell.
+``rate_scan`` stores no grid: the grid at a smaller scale is a corner of the
+grid at the largest, so one membership pass counts every scale's total and
+one prefix sweep over a reused slab buffer feeds every scale's scan.  Its
+memory is a few slabs and rows of the largest grid, and ``GRID_CELL_CAP`` on
+the (n+1)^r cells of the largest scale bounds its time.  On a 2-vCPU
+machine mutual r = 3, n = 630 (2.5e8 cells) took 4.7 s at a peak RSS of
+48 MB, and scans at the cap took 18 s (r = 3, n = 999) and 14 s (r = 2,
+n = 31621) at 74 and 38 MB.
 
 ``measure_cdf_error`` does the analogous job for the limiting CDFs of the
 gcd and lcm weighted sums, on a rational grid of box shapes.
@@ -58,6 +65,13 @@ class CountGrid:
             raise ValueError(
                 f"cumulative grid must have shape {expected}, got {self.cumulative.shape}"
             )
+
+
+def _check_scale(n: int, r: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if (n + 1) ** r > GRID_CELL_CAP:
+        raise CapacityError(f"grid would need {(n + 1) ** r} cells, cap is {GRID_CELL_CAP}")
 
 
 def _slabs(n: int, r: int):
@@ -109,29 +123,48 @@ def _occupancy_slabs(n: int, constraint: TupleConstraint):
         yield a, b, occ
 
 
+def _prefix_slabs(n: int, constraint: TupleConstraint, grid: np.ndarray | None = None):
+    """Prefix counts over [0,n]^r, one ``_slabs`` row range at a time.
+
+    Yields ``(a, b, block)``: ``block[i]`` is the int32 row a + i of the
+    cumulative grid.  The rows are written into ``grid[a:b]`` when a grid is
+    given, else into one buffer that the next slab reuses, so a caller is
+    done with ``block`` before it asks for the next one.  The membership is
+    copied in and each inner axis takes one ``cumsum`` in place (a ``cumsum``
+    that casts the booleans itself took up to three times as long); along
+    axis 0 each row adds the finished row before it, which costs far less
+    than a ``cumsum`` down that axis.
+    """
+    r = constraint.r
+    inner = (slice(None),) + (slice(1, None),) * (r - 1)
+    carry = grid is None
+    if carry:
+        # row 0 of the buffer carries the last row of the slab before
+        grid = np.zeros((next(_slabs(n, r))[1] + 1,) + (n + 1,) * (r - 1), dtype=np.int32)
+    for a, b, occ in _occupancy_slabs(n, constraint):
+        lo = 1 if carry else a
+        block = grid[lo : lo + b - a]
+        block[inner] = occ
+        for axis in range(1, r):
+            np.cumsum(block, axis=axis, out=block)
+        for i in range(max(lo, 1), lo + b - a):
+            grid[i] += grid[i - 1]
+        yield a, b, block
+        if carry:
+            grid[0] = block[-1]
+
+
 def build_grid(n: int, constraint: TupleConstraint) -> CountGrid:
     """Prefix-count grid for all boxes with bounds <= n in each coordinate.
 
-    Filled in place one slab of rows at a time: membership, prefix sums over
-    axes 1..r-1, the finished row before the slab, then prefix sums down
-    axis 0.  No full-size temporary is made beside the int32 grid.
+    ``_prefix_slabs`` fills it in place, so no full-size temporary is made
+    beside the int32 grid.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    r = constraint.r
-    if (n + 1) ** r > GRID_CELL_CAP:
-        raise CapacityError(f"grid would need {(n + 1) ** r} cells, cap is {GRID_CELL_CAP}")
-    cum = np.zeros((n + 1,) * r, dtype=np.int32)
-    inner = (slice(None),) + (slice(1, None),) * (r - 1)
-    for a, b, occ in _occupancy_slabs(n, constraint):
-        block = cum[a:b]
-        block[inner] = occ
-        for axis in range(1, r):
-            np.cumsum(block, axis=axis, dtype=np.int32, out=block)
-        if a:
-            block[0] += cum[a - 1]
-        np.cumsum(block, axis=0, dtype=np.int32, out=block)
-    return CountGrid(n=n, r=r, cumulative=cum)
+    _check_scale(n, constraint.r)
+    cum = np.zeros((n + 1,) * constraint.r, dtype=np.int32)
+    for _ in _prefix_slabs(n, constraint, cum):
+        pass
+    return CountGrid(n=n, r=constraint.r, cumulative=cum)
 
 
 @dataclass(frozen=True)
@@ -146,64 +179,97 @@ class DiscrepancyReport:
     rate_ratio: float | None
 
 
+class _SupScan:
+    """The running sup of one scale's corners, fed prefix slabs in row order.
+
+    Per corner index m the two candidates are the attained value at t = m/n
+    and the left limit toward the cell's upper corner; both are compared by
+    integer cross-multiplication, as numerators |cum[m] n^r - total prod h_j|
+    over the common denominator total * n^r, with h_j = m_j for the corner
+    and min(m_j + 1, n) for the left limit.  Each candidate kind keeps its
+    first maximizer in row-major order: a slab replaces it only when strictly
+    larger.  With ``wedge``, the caller vouches that the grid is symmetric in
+    its axes; then the first maximizer is sorted ascending, so the slab that
+    starts at row a is scanned only at inner indices >= a.
+    """
+
+    def __init__(self, n: int, r: int, total: int, wedge: bool) -> None:
+        if total == 0:
+            raise ValueError("discrepancy is undefined for an empty point set")
+        self.n, self.r, self.total, self.wedge = n, r, total, wedge
+        self.scale = n**r
+        ax = np.arange(n + 1, dtype=np.int64)
+        self.heads = (ax, np.minimum(ax + 1, n))
+        # total * prod h_j over the axes j >= 1, per kind
+        self.tails = []
+        for head in self.heads:
+            tail = np.full((1,) * (r - 1), total, dtype=np.int64)
+            for j in range(r - 1):
+                shape = [1] * (r - 1)
+                shape[j] = n + 1
+                tail = tail * head.reshape(shape)
+            self.tails.append(tail)
+        self.top = [(-1, ()), (-1, ())]
+
+    def feed(self, a: int, block: np.ndarray, buf: np.ndarray) -> None:
+        """Scan the rows of ``block`` (cumulative rows a, a+1, ...) that lie
+        in this scale's grid, at inner indices <= n.  ``buf`` holds two int64
+        arrays of at least ``block.size`` cells each."""
+        n, r = self.n, self.r
+        lo = a if self.wedge else 0
+        rows = min(len(block), n + 1 - a)
+        view = block[(slice(rows),) + (slice(lo, n + 1),) * (r - 1)]
+        v, dev = (flat[: view.size].reshape(view.shape) for flat in buf)
+        np.multiply(view, self.scale, out=v, dtype=np.int64)
+        for kind, (head, tail) in enumerate(zip(self.heads, self.tails)):
+            head = head[a : a + rows].reshape((rows,) + (1,) * (r - 1))
+            np.multiply(head, tail[(slice(lo, None),) * (r - 1)], out=dev)
+            np.subtract(v, dev, out=dev)
+            np.abs(dev, out=dev)
+            i = int(np.argmax(dev))
+            if dev.flat[i] > self.top[kind][0]:
+                at = [int(j) for j in np.unravel_index(i, dev.shape)]
+                self.top[kind] = (int(dev.flat[i]), (a + at[0],) + tuple(lo + j for j in at[1:]))
+
+    def report(self, constraint: TupleConstraint | None) -> DiscrepancyReport:
+        (best_c, at_c), (best_l, at_l) = self.top
+        if best_l > best_c:
+            best, argmax, flag = best_l, at_l, FLAG_LEFT_LIMIT
+        else:
+            best, argmax, flag = best_c, at_c, FLAG_AT_CORNER
+        value = float(Fraction(best, self.total * self.scale))
+        return DiscrepancyReport(
+            n=self.n,
+            value=value,
+            argmax=argmax,
+            flag=flag,
+            total=self.total,
+            rate_ratio=_rate_ratio(value, self.n, constraint),
+        )
+
+
+def _scan_buffer(n: int, r: int) -> np.ndarray:
+    """Two int64 slabs of an (n+1)^r grid: the scaled counts and one
+    deviation at a time."""
+    return np.empty((2, next(_slabs(n, r))[1] * (n + 1) ** (r - 1)), dtype=np.int64)
+
+
 def sup_discrepancy(
     grid: CountGrid, constraint: TupleConstraint | None = None
 ) -> DiscrepancyReport:
     """Exact sup over t in [0,1]^r of |empirical CDF - prod t_j|.
 
-    The empirical CDF is constant on cells, so per corner index m the two
-    candidates are the attained value at t = m/n and the left limit toward
-    the cell's upper corner; both are compared by integer cross-multiplication
-    (numerators over the common denominator total * n^r).  The argmax is the
-    first maximizer in row-major order, corner candidates preferred.
+    Scans every corner of the grid (``_SupScan``), since nothing here says
+    the grid is symmetric.  The argmax is the first maximizer in row-major
+    order, corner candidates preferred; ``constraint`` only normalizes the
+    rate ratio.
     """
     n, r = grid.n, grid.r
-    total = int(grid.cumulative[(-1,) * r])
-    if total == 0:
-        raise ValueError("discrepancy is undefined for an empty point set")
-    scale = n**r
-    ax = np.arange(n + 1, dtype=np.int64)
-    ax_cap = np.minimum(ax + 1, n)
-    # total * prod m_j and total * prod min(m_j + 1, n) over the axes j >= 1
-    tail_lo = np.full((1,) * (r - 1), total, dtype=np.int64)
-    tail_hi = tail_lo
-    for j in range(r - 1):
-        shape = [1] * (r - 1)
-        shape[j] = n + 1
-        tail_lo = tail_lo * ax.reshape(shape)
-        tail_hi = tail_hi * ax_cap.reshape(shape)
-    row_cells = (n + 1) ** (r - 1)
-    # two int64 slabs, reused: the scaled counts and one deviation at a time
-    buf = np.empty((2, next(_slabs(n, r))[1]) + (n + 1,) * (r - 1), dtype=np.int64)
-    # running (numerator, flat index) per candidate kind; a slab replaces it
-    # only when it is strictly larger, so the first maximizer is kept
-    top = [(-1, 0), (-1, 0)]
+    scan = _SupScan(n, r, int(grid.cumulative[(-1,) * r]), wedge=False)
+    buf = _scan_buffer(n, r)
     for a, b in _slabs(n, r):
-        v, dev = buf[:, : b - a]
-        np.multiply(grid.cumulative[a:b], scale, out=v, dtype=np.int64)
-        rows = (b - a,) + (1,) * (r - 1)
-        for kind, (head, tail) in enumerate(((ax, tail_lo), (ax_cap, tail_hi))):
-            np.multiply(head[a:b].reshape(rows), tail, out=dev)
-            np.subtract(v, dev, out=dev)
-            np.abs(dev, out=dev)
-            i = int(np.argmax(dev))
-            if dev.flat[i] > top[kind][0]:
-                top[kind] = (int(dev.flat[i]), a * row_cells + i)
-    (best_c, flat_c), (best_l, flat_l) = top
-    if best_l > best_c:
-        best, flat, flag = best_l, flat_l, FLAG_LEFT_LIMIT
-    else:
-        best, flat, flag = best_c, flat_c, FLAG_AT_CORNER
-    argmax = tuple(int(v) for v in np.unravel_index(flat, grid.cumulative.shape))
-    value = float(Fraction(best, total * scale))
-    return DiscrepancyReport(
-        n=n,
-        value=value,
-        argmax=argmax,
-        flag=flag,
-        total=total,
-        rate_ratio=_rate_ratio(value, n, constraint),
-    )
+        scan.feed(a, grid.cumulative[a:b], buf)
+    return scan.report(constraint)
 
 
 def _rate_ratio(value: float, n: int, constraint: TupleConstraint | None) -> float | None:
@@ -218,12 +284,36 @@ def _rate_ratio(value: float, n: int, constraint: TupleConstraint | None) -> flo
 def rate_scan(
     ns: tuple[int, ...], constraint: TupleConstraint
 ) -> list[DiscrepancyReport]:
-    """Sup-discrepancy reports across scales, for convergence-rate checks."""
-    out = []
+    """Sup-discrepancy reports across scales, for convergence-rate checks.
+
+    Each report equals ``sup_discrepancy(build_grid(n, constraint),
+    constraint)``, but no grid is stored: the grid at n is the corner
+    [0,n]^r of the grid at N = max(ns).  One membership pass at N counts
+    every scale's total, then one prefix sweep at N feeds every scale's
+    scan.  When every side is the same the class is symmetric in its
+    coordinates, so the scans skip the cells off the wedge (``_SupScan``).
+    """
+    r = constraint.r
     for n in ns:
-        grid = build_grid(n, constraint)
-        out.append(sup_discrepancy(grid, constraint))
-    return out
+        _check_scale(n, r)
+    if not ns:
+        return []
+    top_n = max(ns)
+    totals = dict.fromkeys(ns, 0)
+    for a, _, occ in _occupancy_slabs(top_n, constraint):
+        for n in totals:
+            if a <= n:
+                corner = (slice(n + 1 - a),) + (slice(n),) * (r - 1)
+                totals[n] += int(np.count_nonzero(occ[corner]))
+    wedge = len(set(constraint.sides)) == 1
+    scans = [_SupScan(n, r, total, wedge) for n, total in totals.items()]
+    buf = _scan_buffer(top_n, r)
+    for a, _, block in _prefix_slabs(top_n, constraint):
+        for scan in scans:
+            if a <= scan.n:
+                scan.feed(a, block, buf)
+    reports = {scan.n: scan.report(constraint) for scan in scans}
+    return [reports[n] for n in ns]
 
 
 def measure_cdf_error(kind: str, n: int, grid_step: int) -> float:

@@ -106,6 +106,19 @@ def test_count_pairwise_past_the_subset_cap_is_refused_fast(capsys):
     assert "136 constrained subsets" in err
 
 
+def test_count_bruteforce_past_the_coordinate_cap_is_refused_fast(capsys):
+    # volume 10**10 is inside BRUTE_VOLUME_CAP, but the admissible values of
+    # the first coordinate alone took a 74.5 GiB array
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "count", "--class", "mutual", "-r", "2", "-n", "10000000000",
+        "--alpha", "1,1/10000000000", "--method", "bruteforce",
+    )
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (4, "")
+    assert "coordinate bound 10000000000" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     (
@@ -529,22 +542,24 @@ def test_discrepancy_needs_parameters(capsys):
     assert code == 2
 
 
-def test_module_entrypoint_runs():
+def test_module_entrypoint_runs(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "coprime_lab.cli", "count", "-r", "2", "-n", "4", "--class", "mutual"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 11
 
 
-def test_closed_stdout_exits_one_without_traceback():
+def test_closed_stdout_exits_one_without_traceback(child_env):
     # the reader is gone before the first row is written, as with `| head -1`
     proc = subprocess.Popen(
         [sys.executable, "-m", "coprime_lab.cli", "count", "-r", "2", "-n", "4", "--class", "mutual"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=child_env,
     )
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -556,10 +571,10 @@ def test_closed_stdout_exits_one_without_traceback():
     "argv, golden",
     [(["verify", "--suite", "paper"], "verify-paper.jsonl"), (["calibrate"], "calibrate.json")],
 )
-def test_stdout_matches_golden_file(argv, golden):
+def test_stdout_matches_golden_file(argv, golden, child_env):
     # a fresh process, so every cache starts cold as for a user of the CLI
     proc = subprocess.run(
-        [sys.executable, "-m", "coprime_lab.cli", *argv], capture_output=True
+        [sys.executable, "-m", "coprime_lab.cli", *argv], capture_output=True, env=child_env
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (DATA / golden).read_bytes()

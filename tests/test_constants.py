@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -93,8 +94,8 @@ def test_zeta_reciprocal_brackets():
 
 def test_exact_sum_equals_fsum_on_zeta_terms():
     for r in range(2, 65):
-        terms = _zeta_terms(r)
-        assert _exact_sum(terms) == math.fsum(terms.tolist()), r
+        chunks = list(_zeta_terms(r))
+        assert _exact_sum(chunks) == math.fsum(np.concatenate(chunks).tolist()), r
 
 
 def test_exact_sum_equals_fsum_on_random_and_half_way_inputs():
@@ -107,7 +108,7 @@ def test_exact_sum_equals_fsum_on_random_and_half_way_inputs():
         else:  # exponents spread over a wide range, into the subnormals
             values = [scale * 2.0 ** rng.uniform(-200, 0) for _ in range(size)]
         values.sort(reverse=True)
-        assert _exact_sum(np.array(values)) == math.fsum(values), trial
+        assert _exact_sum([np.array(values)]) == math.fsum(values), trial
     # ties: exactly half an ulp rounds to even, a hair more rounds up
     for values in (
         [1.0, 2**-53],
@@ -117,7 +118,33 @@ def test_exact_sum_equals_fsum_on_random_and_half_way_inputs():
         [1.0] * 3 + [2**-52] * 3,
         [5e-324] * 7,
     ):
-        assert _exact_sum(np.array(values)) == math.fsum(values), values
+        assert _exact_sum([np.array(values)]) == math.fsum(values), values
+
+
+def test_exact_sum_equals_fsum_when_runs_straddle_chunks():
+    rng = random.Random(21)
+    for trial in range(100):
+        size = rng.choice((2, 5, 40, 300))
+        # few distinct exponents, so the runs are long and cross the cuts
+        values = [2.0 ** -rng.randrange(4) * (1 + rng.random()) for _ in range(size)]
+        values.sort(reverse=True)
+        cuts = sorted(rng.sample(range(1, size), rng.randint(1, size - 1)))
+        chunks = [np.array(values[a:b]) for a, b in zip([0] + cuts, cuts + [size])]
+        assert _exact_sum(chunks) == math.fsum(values), trial
+    values = [1.0] * 3 + [2**-52] * 3  # one term a chunk
+    assert _exact_sum([np.array([v]) for v in values]) == math.fsum(values)
+
+
+def test_zeta_traced_peak_stays_small():
+    # the whole 2e6 terms of zeta(2) at once took 72 MB of traced memory
+    tracemalloc.start()
+    try:
+        iv = zeta.__wrapped__(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert iv == zeta(2)
+    assert peak < 8 * 2**20
 
 
 # -- Euler products -----------------------------------------------------------
@@ -381,7 +408,7 @@ def test_kwise_factor_tiers_equal_the_per_prime_form():
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
-def test_kwise_constant_at_large_cutoff_keeps_memory_bounded():
+def test_kwise_constant_at_large_cutoff_keeps_memory_bounded(child_env):
     # the object-array tier runs in chunks; whole, it took the peak past 200 MB.
     # The CLI process reports its own peak (VmHWM): a child's ru_maxrss starts
     # at its parent's high-water mark, so from inside pytest it would measure
@@ -393,7 +420,9 @@ def test_kwise_constant_at_large_cutoff_keeps_memory_bounded():
         "sys.exit(code)"
     )
     argv = ["constant", "--class", "kwise", "-r", "4", "-k", "3", "--cutoff", "10000000"]
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=child_env
+    )
     assert proc.returncode == 0, proc.stderr
     row, ends, peak_kb = proc.stdout.strip().split("\n")
     assert ends == "0.5842806721626325 0.5842806724542744"

@@ -1,5 +1,6 @@
 """Occupancy grids, exact sup-discrepancy, and weighted-measure CDF errors."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -269,3 +270,93 @@ def test_grid_and_scan_peak_memory():
     size = grid.cumulative.nbytes
     assert scan_peak - base < size
     assert build_peak < 1.2 * size
+
+
+def _random_class(rng, r):
+    kind = rng.choice(("mutual", "pairwise", "kwise"))
+    shape = rng.choice(("equal", "mixed", "absent"))
+
+    def side():
+        m = rng.choice((2, 3, 4, 6))
+        return rng.choice((None, CoprimeTo(m), DivisibleBy(m), Residue(m, rng.randrange(m))))
+
+    if shape == "equal":
+        sides = (side(),) * r
+    elif shape == "mixed":
+        sides = tuple(side() for _ in range(r))
+    else:
+        sides = ()
+    if kind == "kwise":
+        return TupleConstraint.kwise(r, rng.randint(2, r), sides)
+    return getattr(TupleConstraint, kind)(r, sides)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_rate_scan_equals_sup_discrepancy_of_build_grid(monkeypatch):
+    rng = random.Random(13)
+    top = {2: 30, 3: 12, 4: 7, 5: 5}
+    for trial in range(48):
+        r = 2 + trial % 4
+        constraint = _random_class(rng, r)
+        ns = [rng.randint(1, top[r]) for _ in range(3)]
+        ns += [ns[0]] + [1] * (trial % 3 == 0)  # a repeated scale, sometimes n = 1
+        rng.shuffle(ns)
+        ns = tuple(ns)
+        want = _outcome(
+            lambda: [sup_discrepancy(build_grid(n, constraint), constraint) for n in ns]
+        )
+        for slab_cells in SLAB_SIZES:
+            monkeypatch.setattr(discrepancy, "_SLAB_CELLS", slab_cells)
+            got = _outcome(lambda: rate_scan(ns, constraint))
+            assert got == want, (constraint.describe(), ns, slab_cells)
+
+
+def test_rate_scan_wedge_on_symmetric_classes(monkeypatch):
+    # equal sides turn the wedge on; the slabs split the grid so that it skips
+    # cells, and every report still equals the full scan of the stored grid
+    monkeypatch.setattr(discrepancy, "_SLAB_CELLS", 40)
+    for constraint, ns in (
+        (TupleConstraint.mutual(2), (22, 10, 29)),
+        (TupleConstraint.pairwise(3), (12, 7)),
+        (TupleConstraint.kwise(4, 3, (CoprimeTo(3),) * 4), (6, 5)),
+        (TupleConstraint.mutual(3, (Residue(4, 1),) * 3), (13,)),
+    ):
+        want = [sup_discrepancy(build_grid(n, constraint), constraint) for n in ns]
+        assert rate_scan(ns, constraint) == want, constraint.describe()
+
+
+def test_rate_scan_refusals_match_the_grid():
+    empty = TupleConstraint.pairwise(2, (DivisibleBy(5), None))
+    with pytest.raises(ValueError, match="empty point set"):
+        sup_discrepancy(build_grid(4, empty))
+    with pytest.raises(ValueError, match="empty point set"):
+        rate_scan((4, 9), empty)
+    too_big = int(GRID_CELL_CAP ** (1 / 3)) + 10
+    with pytest.raises(CapacityError) as grid_refusal:
+        build_grid(too_big, TupleConstraint.mutual(3))
+    with pytest.raises(CapacityError) as scan_refusal:
+        rate_scan((8, too_big), TupleConstraint.mutual(3))
+    assert str(scan_refusal.value) == str(grid_refusal.value)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        rate_scan((8, 0), TupleConstraint.mutual(2))
+    assert rate_scan((), TupleConstraint.mutual(2)) == []
+
+
+def test_rate_scan_peak_memory_stays_below_one_grid():
+    # build_grid(256) for mutual r = 3 alone is a 68 MB int32 grid
+    constraint = TupleConstraint.mutual(3)
+    build_grid(2, constraint)  # warm the shared prime table outside the trace
+    tracemalloc.start()
+    try:
+        reports = rate_scan((64, 128, 256), constraint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [rep.n for rep in reports] == [64, 128, 256]
+    assert peak < 8 * 2**20
