@@ -299,6 +299,14 @@ def _outcome(fn):
 
 
 def test_rate_scan_equals_sup_discrepancy_of_build_grid(monkeypatch):
+    # symmetric classes with maxima tied across rows (mutual r=2 at 10 and
+    # 22), then random ones; small slabs make the wedge skip cells
+    cases = [
+        (TupleConstraint.mutual(2), (22, 10, 29)),
+        (TupleConstraint.pairwise(3), (12, 7)),
+        (TupleConstraint.kwise(4, 3, (CoprimeTo(3),) * 4), (6, 5)),
+        (TupleConstraint.mutual(3, (Residue(4, 1),) * 3), (13,)),
+    ]
     rng = random.Random(13)
     top = {2: 30, 3: 12, 4: 7, 5: 5}
     for trial in range(48):
@@ -307,7 +315,8 @@ def test_rate_scan_equals_sup_discrepancy_of_build_grid(monkeypatch):
         ns = [rng.randint(1, top[r]) for _ in range(3)]
         ns += [ns[0]] + [1] * (trial % 3 == 0)  # a repeated scale, sometimes n = 1
         rng.shuffle(ns)
-        ns = tuple(ns)
+        cases.append((constraint, tuple(ns)))
+    for constraint, ns in cases:
         want = _outcome(
             lambda: [sup_discrepancy(build_grid(n, constraint), constraint) for n in ns]
         )
@@ -315,20 +324,6 @@ def test_rate_scan_equals_sup_discrepancy_of_build_grid(monkeypatch):
             monkeypatch.setattr(discrepancy, "_SLAB_CELLS", slab_cells)
             got = _outcome(lambda: rate_scan(ns, constraint))
             assert got == want, (constraint.describe(), ns, slab_cells)
-
-
-def test_rate_scan_wedge_on_symmetric_classes(monkeypatch):
-    # equal sides turn the wedge on; the slabs split the grid so that it skips
-    # cells, and every report still equals the full scan of the stored grid
-    monkeypatch.setattr(discrepancy, "_SLAB_CELLS", 40)
-    for constraint, ns in (
-        (TupleConstraint.mutual(2), (22, 10, 29)),
-        (TupleConstraint.pairwise(3), (12, 7)),
-        (TupleConstraint.kwise(4, 3, (CoprimeTo(3),) * 4), (6, 5)),
-        (TupleConstraint.mutual(3, (Residue(4, 1),) * 3), (13,)),
-    ):
-        want = [sup_discrepancy(build_grid(n, constraint), constraint) for n in ns]
-        assert rate_scan(ns, constraint) == want, constraint.describe()
 
 
 def test_rate_scan_refusals_match_the_grid():
