@@ -1,5 +1,5 @@
-"""Prime tables: the smallest-prime-factor and Moebius sieve, factorization,
-and signed products of distinct primes."""
+"""Prime tables: a primes-only sieve, the smallest-prime-factor and Moebius
+sieve, factorization, and signed products of distinct primes."""
 
 from __future__ import annotations
 
@@ -34,24 +34,28 @@ class ArithTables:
         return np.flatnonzero(self.mobius[: bound + 1]).astype(np.int64)
 
 
+def primes_up_to(limit: int) -> np.ndarray:
+    """Ascending int64 array of the primes ``<= limit``, by a bool sieve of
+    Eratosthenes (one byte per integer), for ``limit`` in ``[2, 10**8]``."""
+    if not isinstance(limit, int) or limit < 2:
+        raise ValueError(f"limit must be an integer >= 2, got {limit!r}")
+    if limit > TABLE_LIMIT_MAX:
+        raise CapacityError(f"limit {limit} exceeds the table cap {TABLE_LIMIT_MAX}")
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).astype(np.int64)
+
+
 def build_tables(limit: int) -> ArithTables:
     """Sieve smallest prime factors and Moebius values up to ``limit``.
 
     ``limit`` must lie in ``[2, 10**8]``; the upper cap exists because the
     tables are dense arrays (spf alone is 4 bytes per entry).
     """
-    if not isinstance(limit, int) or limit < 2:
-        raise ValueError(f"limit must be an integer >= 2, got {limit!r}")
-    if limit > TABLE_LIMIT_MAX:
-        raise CapacityError(f"limit {limit} exceeds the table cap {TABLE_LIMIT_MAX}")
-
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.flatnonzero(sieve).astype(np.int64)
-
+    primes = primes_up_to(limit)
     s = isqrt(limit)
     n_small = int(np.searchsorted(primes, s, side="right"))
     spf = np.zeros(limit + 1, dtype=np.int32)

@@ -4,6 +4,10 @@ Every constant here is produced as an ``Interval`` [lo, hi] that provably
 contains the true real number: truncated sums/products carry an explicit tail
 bracket, and every float operation at the interval boundary is rounded
 outward (one ulp past the correctly rounded value, via ``math.nextafter``).
+The correctly rounded Euler factors of ``kwise_constant`` come from Ziv's
+rounding test (ACM TOMS 17, 1991): a float64 evaluation with a proven error
+bound decides almost every prime, and the few it cannot decide take one
+exact integer division.
 
 The three base constants are
 
@@ -23,7 +27,6 @@ of exact local-factor ratios and the enclosure width only scales.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,8 +38,8 @@ from .constraints import MAX_R, CoprimeTo, Residue, TupleConstraint
 from .errors import CapacityError
 
 DEFAULT_PRIME_CUTOFF = 10**6
-# array length of one chunk of zeta terms, and of one numpy object array in
-# the Python-int tier of kwise_constant, to bound their memory
+# array length of one chunk of zeta terms, and of the primes whose Euler
+# factors kwise_constant forms at once, to bound their memory
 _CHUNK = 2**16
 
 
@@ -176,8 +179,86 @@ def zeta_reciprocal(r: int) -> Interval:
 
 
 @lru_cache(maxsize=8)
-def _primes_up_to(cutoff: int):
-    return arith.build_tables(cutoff).primes
+def _primes_up_to(cutoff: int) -> np.ndarray:
+    return arith.primes_up_to(cutoff)
+
+
+# Each Euler factor is f = P(Bin(r, 1/p) <= k-1) = 1 - t with the tail
+# t = P(Bin(r, 1/p) >= k).  ``_tail`` evaluates t in float64; for primes where
+# that cannot decide the rounding of 1 - t, f = N / p^r is one Python-int
+# true division, N = sum_{j<k} C(r,j) (p-1)^(r-j), which rounds correctly.
+_HALF_SPACING = 2.0**-54  # half the float spacing on [1/2, 1)
+# the two additions of the decision round down by at most (1 - 2^-53)^2,
+# and the limit below is more than that inside the half spacing
+_DECIDE_BELOW = _HALF_SPACING * (1 - 2.0**-51)
+# underflow: each rounding to a subnormal errs by at most 2^-1075, and at
+# most a few hundred of them, scaled by at most sum_j C(r,j) <= 2^64, stay
+# under 2^-1000
+_UNDERFLOW = 2.0**-1000
+_TAIL_MAX = 0.25  # for t above it y = 1 - t leaves [3/4, 1]
+
+
+def _tail_error(r: int, k: int) -> float:
+    """A float eps with |t_float - t| <= eps * t_float + 2^-1000.
+
+    ``_tail`` stacks at most n = 2r + 3d + 1 roundings on one term: 1/p and
+    its k-th power 2k - 1, (p-1)/p and its d-th power 2d - 1 (d = r - k),
+    their product 1, the Horner sum 3d + 1 (1/(p-1) to the m-th power, the
+    coefficient, and 2 per step), and the last product 1.  So |t_float - t|
+    <= gamma_n t, gamma_n = n u / (1 - n u), u = 2^-53, and with t <= t_float
+    + |t_float - t| that is n u t_float / (1 - 2 n u).  The factor 1 + 2^-50
+    covers the rounding of eps * t_float in ``_one_minus``.
+    """
+    n = 2 * r + 3 * (r - k) + 1
+    eps = Fraction(n, 2**53 - 2 * n) * (1 + Fraction(1, 2**50))
+    return _up(float(eps))
+
+
+def _tail(p: np.ndarray, r: int, k: int) -> np.ndarray:
+    """t = P(Bin(r, 1/p) >= k) = x^k u^d sum_{m<=d} C(r, k+m) rho^m in
+    float64, for x = 1/p, u = (p-1)/p, rho = 1/(p-1) and d = r - k: every
+    term is positive, so the relative error is at most the roundings that
+    ``_tail_error`` counts."""
+    d = r - k
+    x, u, rho = 1.0 / p, (p - 1.0) / p, 1.0 / (p - 1.0)
+    horner = np.full_like(p, float(math.comb(r, r)))
+    for j in range(r - 1, k - 1, -1):
+        horner = horner * rho + float(math.comb(r, j))
+    scale = x
+    for _ in range(k - 1):
+        scale = scale * x
+    if d:
+        ud = u
+        for _ in range(d - 1):
+            ud = ud * u
+        scale = scale * ud
+    return scale * horner
+
+
+def _one_minus(t: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """y = 1 - t rounded, and the mask of the entries where y may not be the
+    correctly rounded 1 - t_true for a t_true with |t - t_true| <= eps * t +
+    2^-1000.
+
+    For t <= 1/4, y lies in [3/4, 1] and the residual e = (1 - y) - t is
+    exact (Sterbenz), so 1 - t_true = y + e - (t_true - t).  y is correctly
+    rounded when that offset stays under the half spacing 2^-54, that is
+    when no midpoint 1 - (2m+1) 2^-54 lies within the bound of 1 - t.
+    """
+    y = 1.0 - t
+    e = (1.0 - y) - t
+    undecided = (t > _TAIL_MAX) | (np.abs(e) + (eps * t + _UNDERFLOW) >= _DECIDE_BELOW)
+    return y, undecided
+
+
+def _euler_factors(primes: np.ndarray, r: int, k: int) -> tuple[np.ndarray, int]:
+    """Each P(Bin(r, 1/p) <= k-1) = N / p^r correctly rounded, and how many
+    primes fell back to the exact division."""
+    y, undecided = _one_minus(_tail(primes.astype(np.float64), r, k), _tail_error(r, k))
+    fallback = np.flatnonzero(undecided)
+    for i, p in zip(fallback.tolist(), primes[fallback].tolist()):
+        y[i] = sum(math.comb(r, j) * (p - 1) ** (r - j) for j in range(k)) / p**r
+    return y, len(fallback)
 
 
 @lru_cache(maxsize=None)
@@ -185,8 +266,8 @@ def kwise_constant(r: int, k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
     """Enclosure of prod_p P(Binomial(r, 1/p) <= k-1), the k-wise density.
 
     Upper end: the finite product over primes <= prime_cutoff (each factor is
-    an exact rational, converted outward).  Lower end: the finite product
-    times 1 - sum_{p > cutoff} P(Bin >= k), bounded via
+    an exact rational, correctly rounded, then rounded outward).  Lower end:
+    the finite product times 1 - sum_{p > cutoff} P(Bin >= k), bounded via
     P(Bin(r,1/p) >= k) <= C(r,k) p^-k and sum_{p > P} p^-k <= P^(1-k)/(k-1).
     """
     if not 2 <= r <= MAX_R:
@@ -200,35 +281,19 @@ def kwise_constant(r: int, k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> 
             f"prime_cutoff {prime_cutoff} exceeds the sieve cap {arith.TABLE_LIMIT_MAX}"
         )
 
-    # factor = P(Bin(r, 1/p) <= k-1) = N / p^r with, for q = p - 1,
-    # N = sum_{j<k} C(r,j) q^(r-j) = q^(r-k+1) sum_{j<k} C(r,j) q^(k-1-j),
-    # rounded to nearest by one true division.  While p^r < 2^53 N and p^r
-    # are exact in int64 and float64, so numpy's division rounds to the same
-    # float as Python's int division; past that, numpy object arrays divide
-    # Python ints, 2^16 primes at a time to bound their memory.
-    def euler_factors(q: np.ndarray) -> np.ndarray:
-        poly = 1  # Horner
-        for j in range(1, k):
-            poly = poly * q + math.comb(r, j)
-        return (poly * q ** (r - k + 1) / (q + 1) ** r).astype(np.float64)
-
+    # factors come _CHUNK primes at a time; each is rounded outward once, and
+    # the partial products are formed sequentially, in prime order, each
+    # rounded outward
     primes = _primes_up_to(prime_cutoff)
-    split = bisect_left(primes, 2**53, key=lambda p: int(p) ** r)
-    factors = [euler_factors(primes[:split].astype(np.int64) - 1)]
-    factors += [
-        euler_factors(primes[start : start + _CHUNK].astype(object) - 1)
-        for start in range(split, len(primes), _CHUNK)
-    ]
-    factors = np.concatenate(factors)
-    # round each factor outward once, then multiply sequentially, rounding
-    # every partial product outward
     nextafter, inf = math.nextafter, math.inf
     lo_acc, hi_acc = 1.0, 1.0
-    for f_lo, f_hi in zip(
-        np.nextafter(factors, -inf).tolist(), np.nextafter(factors, inf).tolist()
-    ):
-        lo_acc = nextafter(lo_acc * f_lo, -inf)
-        hi_acc = nextafter(hi_acc * f_hi, inf)
+    for start in range(0, len(primes), _CHUNK):
+        factors, _ = _euler_factors(primes[start : start + _CHUNK], r, k)
+        for f_lo, f_hi in zip(
+            np.nextafter(factors, -inf).tolist(), np.nextafter(factors, inf).tolist()
+        ):
+            lo_acc = nextafter(lo_acc * f_lo, -inf)
+            hi_acc = nextafter(hi_acc * f_hi, inf)
 
     tail = _up(_up(math.comb(r, k) / (k - 1)) * _up(prime_cutoff ** (1 - k)))
     lo = max(0.0, _dn(lo_acc * _dn(1.0 - tail)))

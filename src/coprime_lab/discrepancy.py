@@ -100,6 +100,7 @@ def _occupancy_slabs(n: int, constraint: TupleConstraint):
     grid of the other axes; a slab visits only the primes that divide one
     of its first coordinates.
     """
+    counting._check_subset_cap(constraint)
     r = constraint.r
     masks = [counting._admissible(n, side) for side in constraint.sides]
     primes = counting.shared_tables(n).primes

@@ -1,8 +1,8 @@
 """The k-wise Euler product in its plain per-prime form, kept as a test oracle.
 
-``kwise_constant`` forms its factors in two numpy tiers (float64 while
-p^r < 2^53, Python-int object arrays past that) and multiplies them in one
-loop.  This module forms each factor the simplest way, one Python-int
+``kwise_constant`` forms its factors as 1 - t from a float64 tail t with a
+proven error bound, and divides exactly only where that bound cannot decide
+the rounding.  This module forms each factor the simplest way, one Python-int
 quotient per prime, and rounds the product outward prime by prime, so the
 two routes must give the same endpoints bit for bit.
 """

@@ -106,6 +106,18 @@ def test_count_pairwise_past_the_subset_cap_is_refused_fast(capsys):
     assert "136 constrained subsets" in err
 
 
+def test_count_bruteforce_past_the_cell_cap_is_refused_fast(capsys):
+    # 10**10 gcds, about 11 minutes, inside the volume and coordinate caps
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "count", "--class", "pairwise", "-r", "3", "-n", "100000",
+        "--alpha", "1,1,1/50000", "--method", "bruteforce",
+    )
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (4, "")
+    assert "10000400000 gcds" in err
+
+
 def test_count_bruteforce_past_the_coordinate_cap_is_refused_fast(capsys):
     # volume 10**10 is inside BRUTE_VOLUME_CAP, but the admissible values of
     # the first coordinate alone took a 74.5 GiB array
@@ -533,6 +545,25 @@ def test_discrepancy_grid_cap_counts_every_cell(capsys, argv):
     assert time.perf_counter() - start < 2
     assert (code, out) == (4, "")
     assert "cells" in err
+
+
+def test_discrepancy_past_the_subset_cap_is_refused_fast(capsys):
+    # C(26, 13) ~ 1.0e7 subsets were listed before a single cell was marked
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "discrepancy", "--class", "kwise", "-r", "26", "-k", "13", "-n", "1")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (4, "")
+    assert "10400600 constrained subsets" in err
+
+
+def test_verify_montecarlo_past_the_subset_cap_is_refused_fast(tmp_path, capsys):
+    campaign = tmp_path / "many.ini"
+    campaign.write_text("[many]\nclass = kwise\nr = 40\nk = 20\nn = 10\nmethod = montecarlo\nsamples = 100\n")
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "verify", str(campaign))
+    assert time.perf_counter() - start < 2
+    assert code == 4
+    assert "137846528820 constrained subsets" in err
 
 
 def test_discrepancy_needs_parameters(capsys):

@@ -17,7 +17,11 @@ import pytest
 from coprime_lab import arith
 from coprime_lab.constants import (
     Interval,
+    _euler_factors,
     _exact_sum,
+    _one_minus,
+    _tail,
+    _tail_error,
     _zeta_terms,
     base_constant,
     correction_factor,
@@ -27,7 +31,7 @@ from coprime_lab.constants import (
     zeta,
     zeta_reciprocal,
 )
-from coprime_lab.constraints import Box, CoprimeTo, DivisibleBy, Residue, TupleConstraint
+from coprime_lab.constraints import MAX_R, Box, CoprimeTo, DivisibleBy, Residue, TupleConstraint
 from coprime_lab.counting import count_box
 
 from closed_forms import (
@@ -399,17 +403,102 @@ def test_zeta_and_product_endpoints_frozen():
 
 
 def test_kwise_factor_tiers_equal_the_per_prime_form():
-    # at cutoff 10^4 the float64 tier covers p^r < 2^53 and the object-array
-    # tier the rest: from r = 4 (p >= 9743) up to every p >= 23 at r = 12
+    # at cutoff 10^4 the float tails decide most factors, and the exact
+    # division takes the small primes and those near a rounding midpoint
     for r in range(2, 13):
         for k in range(2, r + 1):
             iv = kwise_constant(r, k, 10**4)
             assert (iv.lo, iv.hi) == kwise_endpoints(r, k, 10**4), (r, k)
 
 
+def test_kwise_constant_equals_the_per_prime_form_at_large_cutoffs():
+    # the suite's constants at the default cutoff, and at 10^5 a middle k, a
+    # long tail polynomial (k = 2) and tails that underflow (k = r - 1)
+    for r, k, cutoff in (
+        (2, 2, 10**6),
+        (3, 2, 10**6),
+        (4, 2, 10**6),
+        (4, 3, 10**6),
+        (20, 10, 10**5),
+        (64, 2, 10**5),
+        (64, 63, 10**5),
+    ):
+        iv = kwise_constant(r, k, cutoff)
+        assert (iv.lo, iv.hi) == kwise_endpoints(r, k, cutoff), (r, k, cutoff)
+
+
+def _stated_tail_error(r: int, k: int) -> float:
+    # n roundings per term as counted in the docstring of _tail_error
+    return (2 * r + 3 * (r - k) + 1) * 2.0**-53
+
+
+def test_tail_error_bound_covers_every_counted_rounding():
+    for r in range(2, MAX_R + 1):
+        for k in range(2, r + 1):
+            assert _tail_error(r, k) >= _stated_tail_error(r, k), (r, k)
+
+
+def test_tail_stays_inside_its_error_bound():
+    primes = primes_up_to(2000)
+    for r, k in ((2, 2), (4, 3), (12, 2), (12, 7), (40, 20), (64, 63)):
+        eps = _tail_error(r, k)
+        got = _tail(np.array(primes, dtype=np.float64), r, k).tolist()
+        for p, t in zip(primes, got):
+            true = Fraction(sum(math.comb(r, j) * (p - 1) ** (r - j) for j in range(k, r + 1)), p**r)
+            assert abs(Fraction(t) - true) <= eps * Fraction(t) + Fraction(2) ** -1000, (r, k, p)
+
+
+def _correctly_rounded_one_minus(t: Fraction) -> float:
+    return float(1 - t)  # Fraction -> float rounds to nearest, ties to even
+
+
+def test_one_minus_falls_back_at_and_near_every_midpoint():
+    eps = _stated_tail_error(4, 3)
+    spacing = Fraction(1, 2**54)
+    midpoints = [float((2 * m + 1) * spacing) for m in (0, 1, 2, 7, 1000, 2**20 + 3)]
+    midpoints += [0.125 + 2.0**-54, 0.25 - 2.0**-54]
+    ts = []
+    for mid in midpoints:
+        ts += [mid, math.nextafter(mid, 0.0), math.nextafter(mid, 1.0)]
+        # half the stated bound away: a bound 4x too small would decide here
+        ts += [mid * (1 + eps / 2), mid * (1 - eps / 2)]
+    ts += [0.25, math.nextafter(0.25, 1.0), 0.3, 1.0]
+    _, undecided = _one_minus(np.array(ts), _tail_error(4, 3))
+    assert undecided.all(), [t for t, u in zip(ts, undecided) if not u]
+
+
+def test_one_minus_decides_only_what_it_rounds_correctly():
+    eps = _tail_error(4, 3)
+    rng = random.Random(7)
+    ts = [2.0**-60, 2.0**-55, 1e-300, 5e-324, 0.0, 2.0**-54 * (1 - 4 * eps)]
+    for _ in range(3000):
+        mid = (2 * rng.randrange(1, 2**20) + 1) * 2.0**-54
+        ts.append(mid * (1 + rng.choice((-1, 1)) * rng.uniform(0.5, 20) * eps))
+        ts.append(rng.uniform(0.0, 0.25) * 2.0 ** -rng.randrange(0, 40))
+    y, undecided = _one_minus(np.array(ts), eps)
+    assert 0 < np.count_nonzero(undecided) < len(ts) // 2
+    for t, yi, u in zip(ts, y.tolist(), undecided.tolist()):
+        if u:
+            continue
+        slack = Fraction(eps) * Fraction(t) + Fraction(2) ** -1000
+        for true in (Fraction(t) - slack, Fraction(t) + slack):
+            assert yi == _correctly_rounded_one_minus(true), t
+
+
+def test_euler_factor_fallbacks_stay_few():
+    # the exact division is the slow path: a correct factor routine that sends
+    # most primes there must fail here
+    primes = arith.primes_up_to(10**6)
+    for r in range(2, 13):
+        for k in range(2, r + 1):
+            _, fallbacks = _euler_factors(primes, r, k)
+            assert fallbacks <= 200, (r, k, fallbacks)
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 def test_kwise_constant_at_large_cutoff_keeps_memory_bounded(child_env):
-    # the object-array tier runs in chunks; whole, it took the peak past 200 MB.
+    # the factors and their product run _CHUNK primes at a time; an older
+    # Python-int tier that divided every prime at once took the peak past 200 MB.
     # The CLI process reports its own peak (VmHWM): a child's ru_maxrss starts
     # at its parent's high-water mark, so from inside pytest it would measure
     # pytest.

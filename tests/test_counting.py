@@ -71,6 +71,73 @@ def test_member_bulk_matches_scalar():
             assert bool(bulk[row]) == member(x, constraint), x
 
 
+# member factors k-wise coordinates by trial division, so the constructed
+# values are powers of at most two small primes times at most one prime past
+# 10**6: quick to factor up to 2**62
+_SMALL = (2, 3, 5, 7, 11, 13)
+_BIG = (1_000_003, 1_000_033)
+
+
+def _constructed_value(rng: random.Random, n: int, avoid: int, big: bool = True) -> int:
+    """A value in [1, n] not divisible by the prime ``avoid``, with a prime
+    past 10**6 now and then if ``big``."""
+    v = 1
+    if big and rng.random() < 0.3:
+        v = rng.choice([q for q in _BIG if q != avoid and q <= n] or [1])
+    for q in rng.sample([q for q in _SMALL if q != avoid], rng.randint(0, 2)):
+        top = 0
+        while v * q ** (top + 1) <= n:
+            top += 1
+        v *= q ** rng.randint(0, top)
+    return v
+
+
+def _constructed_rows(rng: random.Random, r: int, k: int, n: int, rows: int) -> list[tuple]:
+    """Rows in which a prime p divides exactly k - 1 or exactly k
+    coordinates, for p = 2, 3, 5 (the primes member_bulk strikes out first),
+    7 and a prime past 10**6, with values up to n."""
+    out = []
+    for _ in range(rows):
+        p = rng.choice([q for q in (2, 3, 5, 7) + _BIG if q <= n])
+        shared = set(rng.sample(range(r), rng.choice((k - 1, k))))
+        out.append(
+            tuple(
+                p * _constructed_value(rng, n // p, p, p not in _BIG)
+                if i in shared
+                else _constructed_value(rng, n, p)
+                for i in range(r)
+            )
+        )
+    return out
+
+
+def test_member_bulk_matches_member_on_constructed_rows():
+    rng = random.Random(2026)
+    side_kinds = (
+        lambda: CoprimeTo(rng.choice((2, 6, 35))),
+        lambda: DivisibleBy(rng.choice((2, 3, 7))),
+        lambda: Residue(5, rng.randrange(5)),
+        lambda: Residue(4, rng.choice((0, 1, 3))),
+    )
+    for r in range(2, 7):
+        for k in range(2, r + 1):
+            for n in (30, 10**6, 10**12, 2**62):
+                for with_sides in (False, True):
+                    sides = None
+                    if with_sides:
+                        sides = tuple(rng.choice(side_kinds)() if rng.random() < 0.4 else None for _ in range(r))
+                    if k == 2:
+                        c = TupleConstraint.pairwise(r, sides)
+                    elif k == r:
+                        c = TupleConstraint.mutual(r, sides)
+                    else:
+                        c = TupleConstraint.kwise(r, k, sides)
+                    rows = _constructed_rows(rng, r, k, n, 40)
+                    cols = [np.array(col, dtype=np.int64) for col in zip(*rows)]
+                    bulk = member_bulk(cols, c).tolist()
+                    assert bulk == [member(x, c) for x in rows], (c.describe(), n)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=3, max_size=3))
 @settings(max_examples=150)
 def test_member_kwise_equals_prime_multiplicity(xs):
@@ -352,6 +419,78 @@ def test_class_nesting():
     assert count_box(box, TupleConstraint.kwise(4, 4)).count == c
     # the auto route sends pairwise r = 4 to the peeling counter
     assert count_mobius(box, TupleConstraint.pairwise(4)).count == pc
+
+
+class _GcdCounter:
+    """Stands in for numpy in the counting module and counts the gcd cells
+    that its kernels take."""
+
+    def __init__(self):
+        self.cells = 0
+        counter = self
+
+        class Gcd:
+            def __call__(self, a, b):
+                out = np.gcd(a, b)
+                counter.cells += np.size(out)
+                return out
+
+            def outer(self, a, b):
+                out = np.gcd.outer(a, b)
+                counter.cells += out.size
+                return out
+
+        self.gcd = Gcd()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_brute_cell_estimate_bounds_the_gcds_taken(monkeypatch):
+    rng = random.Random(11)
+    counter = _GcdCounter()
+    monkeypatch.setattr(counting, "np", counter)
+    caps = {2: 300, 3: 40, 4: 16, 5: 9, 6: 7}
+    for trial in range(200):
+        r = 2 + trial % 5
+        bounds = [rng.randint(1, caps[r]) for _ in range(r)]
+        sides = _two_shared_sides(rng, r)
+        counts = [counting._value_count(b, s) for b, s in zip(bounds, sides)]
+        vals = [counting._allowed_values(b, s) for b, s in zip(bounds, sides)]
+        assert counts == [len(v) for v in vals]
+        if 0 in counts:
+            continue
+        for k, kernel in ((r, counting._brute_mutual), (2, counting._brute_pairwise)):
+            if k == 2 and r == 2:
+                continue
+            counter.cells = 0
+            kernel(vals)
+            assert counter.cells <= counting._brute_cells(counts, bounds, k), (bounds, sides, k)
+
+
+def test_bruteforce_refuses_past_the_cell_cap_before_building_arrays(monkeypatch):
+    # 10**10 gcds of a 10**5 x 10**5 coprimality matrix: about 11 minutes
+    monkeypatch.setattr(counting, "_allowed_values", None)
+    box = Box(bounds=(10**5, 10**5, 2), n=10**5)
+    with pytest.raises(CapacityError, match="gcds"):
+        count_box_bruteforce(box, TupleConstraint.pairwise(3))
+    with pytest.raises(CapacityError, match="gcds"):
+        count_box_bruteforce(Box.cube(150_000, 2), TupleConstraint.mutual(2))
+
+
+def test_bruteforce_cell_cap_admits_the_certified_boxes():
+    # the acceptance boxes, the thin mutual box, and the largest brute-force
+    # references of the benchmark workloads stay under the cap
+    for bounds, k in (
+        ((1500,) * 3, 2),
+        ((10**5, 10**5, 2), 3),
+        ((3000, 3000, 1), 2),
+        ((160,) * 4, 2),
+        ((320, 240, 180), 2),
+        ((1012,) * 3, 2),
+        ((1012,) * 3, 3),
+    ):
+        assert counting._brute_cells(list(bounds), bounds, k) <= counting.BRUTE_CELL_CAP, bounds
 
 
 def test_bruteforce_volume_cap():

@@ -1,5 +1,7 @@
 """Counter-based sampling: reproducibility, reference vectors, coverage."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,14 @@ def test_estimate_refuses_n_past_int64():
             mc.estimate(c, n, samples=1000)
     est = mc.estimate(c, 2**63 - 1, samples=1000, seed=5)
     assert 0.0 < est.mean < 1.0
+
+
+def test_estimate_refuses_many_subsets_before_listing_them():
+    # C(40, 20) ~ 1.4e11 subsets: member_bulk listed them all
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="constrained subsets"):
+        mc.estimate(TupleConstraint.kwise(40, 20), 10, samples=100)
+    assert time.perf_counter() - start < 2
 
 
 def test_small_domain_exact_agreement():
