@@ -17,11 +17,12 @@ Three counting routes, all integer-exact:
   where L_i = lcm of the d_S over subsets containing coordinate i and N_i(L)
   counts the x <= B_i divisible by L that satisfy coordinate i's side
   condition.  Without a side condition N_i(L) = B_i // L; with one, N_i is a
-  table over L <= B_i summed from the admissible values once per call, so
-  every side kind is counted from its definition.  When one subset covers
-  every coordinate (mutual, or k-wise with k = r) every L_i is one d, and
-  without side conditions the count is sum_d mu(d) prod_i (B_i // d), one
-  case of the quotient-set kernel below.
+  table over L <= B_i summed from the admissible values, so every side kind
+  is counted from its definition.  The table is filled once per (bound, side)
+  while it is kept: the last 64 tables with bounds up to 2**17, at most 32 MB.
+  When one subset covers every coordinate (mutual, or k-wise with k = r)
+  every L_i is one d, and without side conditions the count is
+  sum_d mu(d) prod_i (B_i // d), one case of the quotient-set kernel below.
   Otherwise the assignments are grouped by L, whose coefficient c(L) is a
   product over primes of a factor that depends only on how many L_i the
   prime divides; a depth-first search over primes lists the rows (L, c(L))
@@ -51,7 +52,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, combinations
 from math import ceil, comb, gcd, isqrt, prod
 
@@ -74,8 +75,16 @@ BRUTE_VOLUME_CAP = 25_000_000_000
 # 2 vCPUs: the pairwise kernel takes 55-70 ns per gcd, so the cap is 30-35 s
 # (a 2e4 x 2e4 x 2 box, 4e8 gcds, took 28 s); the mutual one about 27 ns
 BRUTE_CELL_CAP = 500_000_000
+# _brute_k34, 2 vCPUs: up to 25 ns per gcd (most meet a partial gcd, and the
+# mask work of their row comes with them), 0.4 ns per mask cell and 30 us per
+# value of the widest coordinate, so 64, 1 and 75,000 units of 0.4 ns; the cap
+# is 32 s (the 300^4 cube took 5.7 s, (3000, 300, 300, 2) 7.0 s)
+K34_WORK_CAP = 80_000_000_000
+# _brute_generic, 2 vCPUs: each prefix state takes up to about 3 us per subset
+# that holds the last coordinate, plus 9 us; per unit of C(r-1, k-1) + 3 the
+# cap is 30 s ((5,3) n=40 took 32 s for 2.3e7 steps, (8,4) n=5 8.3 s for 3e6)
+GENERIC_STEP_CAP = 10_000_000
 MUTUAL_BOUND_CAP = 10**10  # cold there, 2 vCPUs: r=2 count 1.5 s, gcd sum 4.5 s, lcm sum 9 s
-GENERIC_PREFIX_CAP = 20_000_000
 ENGINE_MAX_SUBSETS = 128
 
 
@@ -232,15 +241,32 @@ def _allowed_values(bound: int, side) -> np.ndarray:
 def _side_counts(bound: int, side):
     """N(L) = #{x <= bound : L | x, x meets the side} for 1 <= L <= bound.
 
-    Returns N as a callable on an int or an integer array of L values.  With
-    a side condition N is a table filled from the admissible values with a
-    sqrt split: a strided count for each L <= s = isqrt(bound), then for each
-    multiplier m <= bound // (s + 1) a strided add of the admissibility of
-    m * L to every L in (s, bound // m].  That is O(bound log bound) element
-    work in about 2 sqrt(bound) numpy calls, whatever the modulus.
+    Returns N as a callable on an int or an integer array of L values: bound // L
+    without a side condition, else a lookup in the ``_side_table`` of
+    (bound, side).  Tables for bounds up to ``_SIDE_TABLE_BOUND_MAX`` are kept,
+    the last ``_SIDE_TABLES_MAX`` of them, so a sweep over the sides of one box
+    fills each table once; larger bounds fill a table per call.
     """
     if side is None:
         return lambda L: bound // L
+    fill = _side_table if bound <= _SIDE_TABLE_BOUND_MAX else _side_table.__wrapped__
+    return partial(np.take, fill(bound, side))  # a third faster than indexing
+
+
+# at most 64 int32 tables of 2**17 + 1 entries: 32 MB kept
+_SIDE_TABLE_BOUND_MAX = 1 << 17
+_SIDE_TABLES_MAX = 64
+
+
+@lru_cache(maxsize=_SIDE_TABLES_MAX)
+def _side_table(bound: int, side) -> np.ndarray:
+    """The read-only int32 table of N(L), 0 <= L <= bound, for ``_side_counts``,
+    filled from the admissible values with a sqrt split: a strided count for
+    each L <= s = isqrt(bound), then for each multiplier m <= bound // (s + 1)
+    a strided add of the admissibility of m * L to every L in (s, bound // m].
+    That is O(bound log bound) element work in about 2 sqrt(bound) numpy
+    calls, whatever the modulus.
+    """
     admissible = _admissible(bound, side)
     s = isqrt(bound)
     table = np.zeros(bound + 1, dtype=np.int32)  # N(L) <= bound <= the 10**8 sieve cap
@@ -249,7 +275,8 @@ def _side_counts(bound: int, side):
     for m in range(1, bound // (s + 1) + 1):
         top = bound // m
         table[s + 1 : top + 1] += admissible[m * (s + 1) : m * top + 1 : m]
-    return table.__getitem__
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +291,8 @@ def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
     (subset size 2) with r >= 3 to ``_brute_pairwise``, k-wise (4, 3) to
     ``_brute_k34``, and the other k-wise classes to the prefix enumeration
     ``_brute_generic``.  Volume capped at 2.5e10, each coordinate bound at
-    ``arith.TABLE_LIMIT_MAX``, and the gcds of the mutual and pairwise
-    kernels, as ``_brute_cells`` estimates them, at ``BRUTE_CELL_CAP``.
+    ``arith.TABLE_LIMIT_MAX``, and the work of each kernel, as
+    ``_check_brute_work`` estimates it, at about 30-35 s.
     """
     if box.r != constraint.r:
         raise ValueError(f"box is {box.r}-dimensional, constraint wants {constraint.r}")
@@ -281,20 +308,12 @@ def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
         )
     _check_subset_cap(constraint)
     r, k = constraint.r, constraint.effective_k
-    if k in (2, r):
-        counts = [_value_count(b, side) for b, side in zip(box.bounds, constraint.sides)]
-        cells = _brute_cells(counts, box.bounds, k)
-        if cells > BRUTE_CELL_CAP:
-            raise CapacityError(
-                f"brute force would take about {cells} gcds, past the cap {BRUTE_CELL_CAP}"
-            )
-    vals = [
-        _allowed_values(b, side)
-        for b, side in zip(box.bounds, constraint.sides)
-    ]
-    if any(len(v) == 0 for v in vals):
-        count = 0
-    elif k == r:
+    counts = [_value_count(b, side) for b, side in zip(box.bounds, constraint.sides)]
+    if 0 in counts:
+        return CountResult(count=0, constraint=constraint, box=box, method=METHOD_BRUTEFORCE)
+    _check_brute_work(counts, box.bounds, k)
+    vals = [_allowed_values(b, side) for b, side in zip(box.bounds, constraint.sides)]
+    if k == r:
         count = _brute_mutual(vals)
     elif k == 2:
         count = _brute_pairwise(vals)
@@ -318,6 +337,45 @@ def _value_count(bound: int, side) -> int:
     if isinstance(side, DivisibleBy):
         return bound // side.modulus
     return (bound - side.residue) // side.modulus + (side.residue > 0)
+
+
+def _check_brute_work(counts: list[int], bounds, k: int) -> None:
+    """Refuse, before any array is built, the boxes whose kernel would run
+    past about 30-35 s: the gcds of the mutual and pairwise kernels
+    (``_brute_cells``), the weighted work of ``_brute_k34``
+    (``_brute_k34_cells``) and the prefix steps of ``_brute_generic``."""
+    r = len(counts)
+    if k in (2, r):
+        cells = _brute_cells(counts, bounds, k)
+        if cells > BRUTE_CELL_CAP:
+            raise CapacityError(
+                f"brute force would take about {cells} gcds, past the cap {BRUTE_CELL_CAP}"
+            )
+    elif (r, k) == (4, 3):
+        gcds, cells = _brute_k34_cells(counts)
+        work = 64 * gcds + cells + 75_000 * max(counts)
+        if work > K34_WORK_CAP:
+            raise CapacityError(
+                f"brute force would take about {gcds} gcds and {cells} mask cells, "
+                f"{work} work units past the cap {K34_WORK_CAP}"
+            )
+    else:
+        steps = prod(counts[:-1]) * (comb(r - 1, k - 1) + 3)
+        if steps > GENERIC_STEP_CAP:
+            raise CapacityError(
+                f"the brute-force prefix enumeration would take about {steps} steps, "
+                f"past the cap {GENERIC_STEP_CAP}"
+            )
+
+
+def _brute_k34_cells(counts: list[int]) -> tuple[int, int]:
+    """The gcds and the boolean mask cells that ``_brute_k34`` takes on
+    arrays of ``counts`` values: the (2, 3, 4) triples once, then per value
+    of the widest coordinate its partial gcds with the next two and their
+    gcds with the coordinates after them."""
+    n1, n2, n3, n4 = sorted(counts, reverse=True)
+    gcds = n2 * n3 * (1 + n4) + n1 * (n2 + n3 + n2 * n3 + n2 * n4 + n3 * n4)
+    return gcds, n1 * n2 * n3 * n4
 
 
 def _brute_cells(counts: list[int], bounds, k: int) -> int:
@@ -434,12 +492,6 @@ def _brute_k34(vals) -> int:
 
 def _brute_generic(vals, subsets) -> int:
     r = len(vals)
-    prefix_volume = prod(len(v) for v in vals[: r - 1])
-    if prefix_volume > GENERIC_PREFIX_CAP:
-        raise CapacityError(
-            f"no specialized brute-force path for this shape and the prefix "
-            f"enumeration would need {prefix_volume} states"
-        )
     last = r - 1
     with_last = [S for S in subsets if last in S]
     closers = {

@@ -118,6 +118,22 @@ def test_count_bruteforce_past_the_cell_cap_is_refused_fast(capsys):
     assert "10000400000 gcds" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    (
+        (["-r", "5", "-k", "3", "-n", "60"], "116640000 steps"),
+        (["-r", "4", "-k", "3", "-n", "5000", "--alpha", "1,1,1/5,1/5000"], "25070000000 gcds"),
+    ),
+)
+def test_count_kwise_bruteforce_past_its_work_cap_is_refused_fast(capsys, argv, message):
+    # minutes of prefix enumeration and of the (4, 3) kernel
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--class", "kwise", *argv, "--method", "bruteforce")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (4, "")
+    assert message in err
+
+
 def test_count_bruteforce_past_the_coordinate_cap_is_refused_fast(capsys):
     # volume 10**10 is inside BRUTE_VOLUME_CAP, but the admissible values of
     # the first coordinate alone took a 74.5 GiB array

@@ -374,6 +374,79 @@ def test_mobius_tables_are_replayed_read_only():
     assert not A.flags.writeable and not W.flags.writeable
 
 
+def _residue_sweep(moduli=(2, 3, 5)) -> list[tuple]:
+    """Every residue tuple mod ``moduli``, then the CoprimeTo and DivisibleBy
+    sides of the same moduli."""
+    sweep = [
+        tuple(Residue(m, b) for m, b in zip(moduli, res))
+        for res in product(*(range(m) for m in moduli))
+    ]
+    return sweep + [tuple(make(m) for m in moduli) for make in (CoprimeTo, DivisibleBy)]
+
+
+def test_side_tables_are_shared_read_only():
+    box = Box(bounds=(30, 24, 20), n=30)
+    counting._side_table.cache_clear()
+
+    def sweep(kind, engine, cold):
+        out = []
+        for sides in _residue_sweep():
+            if cold:
+                counting._side_table.cache_clear()
+            c = getattr(TupleConstraint, kind)(3, sides)
+            out.append(engine(box, c))
+        return out
+
+    engines = {
+        "mutual": (lambda b, c: count_mobius(b, c).count,),
+        "pairwise": (
+            lambda b, c: count_mobius(b, c).count,
+            lambda b, c: count_toth(b.bounds, sides=c.sides).count,
+        ),
+    }
+    for kind, fns in engines.items():
+        want = sweep(kind, lambda b, c: count_box_bruteforce(b, c).count, False)
+        for fn in fns:
+            assert sweep(kind, fn, True) == want, kind
+            assert sweep(kind, fn, False) == want, kind  # the kept tables
+    info = counting._side_table.cache_info()
+    assert info.hits > 0 and info.currsize <= 2 + 3 + 5 + 2 * 3  # distinct (bound, side)
+    table = counting._side_table(24, Residue(3, 1))
+    with pytest.raises(ValueError):
+        table[1] = 0
+    # a bound past the caching limit fills a table per call and keeps none
+    kept = counting._side_table.cache_info().currsize
+    big = counting._SIDE_TABLE_BOUND_MAX + 1
+    N = counting._side_counts(big, CoprimeTo(6))
+    assert N(1) == counting._value_count(big, CoprimeTo(6))
+    assert counting._side_table.cache_info().currsize == kept
+
+
+def test_kept_side_tables_stay_under_their_memory_ceiling():
+    bound = counting._SIDE_TABLE_BOUND_MAX
+    counting._side_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for m in range(2, counting._SIDE_TABLES_MAX + 8):
+            counting._side_counts(bound, DivisibleBy(m))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert counting._side_table.cache_info().currsize == counting._SIDE_TABLES_MAX
+    assert kept <= 33 * 2**20, kept  # 64 tables of 2**17 + 1 int32 entries: 32 MB
+    counting._side_table.cache_clear()
+
+
+def test_residue_sweep_fills_each_side_table_once():
+    # 30 residue tuples mod (2, 3, 5) on one cube share 2 + 3 + 5 side tables;
+    # filling them per call would take 90
+    box = Box.cube(1008, 3)
+    counting._side_table.cache_clear()
+    for sides in _residue_sweep()[:30]:
+        count_mobius(box, TupleConstraint.pairwise(3, sides))
+    assert counting._side_table.cache_info().misses == 10
+
+
 def test_count_mutual_mobius_with_sides_matches_brute_up_to_128():
     # divisibility / residue side conditions with moduli <= 10, ragged boxes
     rng = random.Random(128)
@@ -466,6 +539,10 @@ def test_brute_cell_estimate_bounds_the_gcds_taken(monkeypatch):
             counter.cells = 0
             kernel(vals)
             assert counter.cells <= counting._brute_cells(counts, bounds, k), (bounds, sides, k)
+        if r == 4:
+            counter.cells = 0
+            counting._brute_k34(vals)
+            assert counter.cells <= counting._brute_k34_cells(counts)[0], (bounds, sides)
 
 
 def test_bruteforce_refuses_past_the_cell_cap_before_building_arrays(monkeypatch):
@@ -476,6 +553,21 @@ def test_bruteforce_refuses_past_the_cell_cap_before_building_arrays(monkeypatch
         count_box_bruteforce(box, TupleConstraint.pairwise(3))
     with pytest.raises(CapacityError, match="gcds"):
         count_box_bruteforce(Box.cube(150_000, 2), TupleConstraint.mutual(2))
+    # 2.5e10 gcds of the (4, 3) kernel, and 1.2e8 prefix steps at 15-20 us each
+    with pytest.raises(CapacityError, match="mask cells"):
+        count_box_bruteforce(Box(bounds=(5000, 5000, 1000, 1), n=5000), TupleConstraint.kwise(4, 3))
+    with pytest.raises(CapacityError, match="prefix enumeration"):
+        count_box_bruteforce(Box.cube(60, 5), TupleConstraint.kwise(5, 3))
+    # 10**8 values of the widest coordinate, 30 us each, though few gcds
+    with pytest.raises(CapacityError, match="mask cells"):
+        count_box_bruteforce(Box(bounds=(10**8, 1, 1, 1), n=10**8), TupleConstraint.kwise(4, 3))
+
+
+def test_bruteforce_skips_empty_coordinates_before_building_arrays(monkeypatch):
+    monkeypatch.setattr(counting, "_allowed_values", None)
+    box = Box(bounds=(10**8, 200, 1), n=10**8)
+    c = TupleConstraint.mutual(3, (None, None, DivisibleBy(2)))
+    assert count_box_bruteforce(box, c).count == 0
 
 
 def test_bruteforce_cell_cap_admits_the_certified_boxes():
@@ -491,6 +583,9 @@ def test_bruteforce_cell_cap_admits_the_certified_boxes():
         ((1012,) * 3, 3),
     ):
         assert counting._brute_cells(list(bounds), bounds, k) <= counting.BRUTE_CELL_CAP, bounds
+    # k-wise (4, 3) of the multi-subset workload and of acceptance test 3
+    for n in (100, 300):
+        counting._check_brute_work([n] * 4, (n,) * 4, 3)
 
 
 def test_bruteforce_volume_cap():
