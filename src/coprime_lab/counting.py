@@ -4,8 +4,10 @@ Three counting routes, all integer-exact:
 
 * brute force (``count_box_bruteforce``) — enumeration in numpy blocks: a
   histogram of running gcds when one subset covers every coordinate, 0/1
-  coprimality matrix products for pairwise classes; the oracle everything
-  else is checked against;
+  coprimality matrix products for pairwise classes, and for the other k-wise
+  classes a bit cube over the three coordinates with the fewest values per
+  choice of the others; each kernel's time is estimated before any array is
+  built and held to one cap.  The oracle everything else is checked against;
 * Möbius inclusion-exclusion (``count_mobius``) —
   one squarefree summation variable d_S per constrained coordinate subset S
   (the full index set for mutual, all pairs for pairwise, all k-subsets for
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, combinations
-from math import ceil, comb, gcd, isqrt, prod
+from math import ceil, comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -72,18 +74,9 @@ from .constraints import (
 from .errors import CapacityError, UnsupportedError
 
 BRUTE_VOLUME_CAP = 25_000_000_000
-# 2 vCPUs: the pairwise kernel takes 55-70 ns per gcd, so the cap is 30-35 s
-# (a 2e4 x 2e4 x 2 box, 4e8 gcds, took 28 s); the mutual one about 27 ns
+# the brute-force work cap, in units of one gcd of the pairwise kernel: 55-70
+# ns on 2 vCPUs, so 30-35 s (a 2e4 x 2e4 x 2 box, 4e8 gcds, took 28 s)
 BRUTE_CELL_CAP = 500_000_000
-# _brute_k34, 2 vCPUs: up to 25 ns per gcd (most meet a partial gcd, and the
-# mask work of their row comes with them), 0.4 ns per mask cell and 30 us per
-# value of the widest coordinate, so 64, 1 and 75,000 units of 0.4 ns; the cap
-# is 32 s (the 300^4 cube took 5.7 s, (3000, 300, 300, 2) 7.0 s)
-K34_WORK_CAP = 80_000_000_000
-# _brute_generic, 2 vCPUs: each prefix state takes up to about 3 us per subset
-# that holds the last coordinate, plus 9 us; per unit of C(r-1, k-1) + 3 the
-# cap is 30 s ((5,3) n=40 took 32 s for 2.3e7 steps, (8,4) n=5 8.3 s for 3e6)
-GENERIC_STEP_CAP = 10_000_000
 MUTUAL_BOUND_CAP = 10**10  # cold there, 2 vCPUs: r=2 count 1.5 s, gcd sum 4.5 s, lcm sum 9 s
 ENGINE_MAX_SUBSETS = 128
 
@@ -286,13 +279,13 @@ def _side_table(bound: int, side) -> np.ndarray:
 def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
     """Exact count by enumeration; the oracle for every other method.
 
-    Every class whose one subset covers every coordinate (mutual, k-wise with
-    k = r, and r = 2) goes to ``_brute_mutual``, every pairwise-type class
-    (subset size 2) with r >= 3 to ``_brute_pairwise``, k-wise (4, 3) to
-    ``_brute_k34``, and the other k-wise classes to the prefix enumeration
-    ``_brute_generic``.  Volume capped at 2.5e10, each coordinate bound at
-    ``arith.TABLE_LIMIT_MAX``, and the work of each kernel, as
-    ``_check_brute_work`` estimates it, at about 30-35 s.
+    ``_brute_plan`` picks the kernel by subset size: ``_brute_mutual`` when
+    one subset covers every coordinate (mutual, k-wise with k = r, and r = 2),
+    ``_brute_pairwise`` for subsets of size 2 with r >= 3, and ``_brute_kwise``
+    for every k-wise class with 3 <= k < r.  Volume capped at 2.5e10, each
+    coordinate bound at ``arith.TABLE_LIMIT_MAX``, and the kernel's time, as
+    its plan estimates it before any array is built, at ``BRUTE_CELL_CAP``
+    gcds of the pairwise kernel, about 30-35 s.
     """
     if box.r != constraint.r:
         raise ValueError(f"box is {box.r}-dimensional, constraint wants {constraint.r}")
@@ -307,24 +300,30 @@ def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
             f"{arith.TABLE_LIMIT_MAX} on one coordinate"
         )
     _check_subset_cap(constraint)
-    r, k = constraint.r, constraint.effective_k
     counts = [_value_count(b, side) for b, side in zip(box.bounds, constraint.sides)]
     if 0 in counts:
         return CountResult(count=0, constraint=constraint, box=box, method=METHOD_BRUTEFORCE)
-    _check_brute_work(counts, box.bounds, k)
+    kernel, _, work = _brute_plan(counts, box.bounds, constraint.effective_k)
+    if work > BRUTE_CELL_CAP:
+        raise CapacityError(
+            f"brute force would take the time of about {work} gcds, past the cap {BRUTE_CELL_CAP}"
+        )
     vals = [_allowed_values(b, side) for b, side in zip(box.bounds, constraint.sides)]
-    if k == r:
-        count = _brute_mutual(vals)
-    elif k == 2:
-        count = _brute_pairwise(vals)
-    elif (r, k) == (4, 3):
-        count = _brute_k34(vals)
-    else:
-        count = _brute_generic(vals, constraint.subsets())
+    count = kernel(vals)
     return CountResult(count=count, constraint=constraint, box=box, method=METHOD_BRUTEFORCE)
 
 
 _BRUTE_BLOCK = 1 << 20  # gcd cells per numpy call: 8 MB of int64
+# brute-force time in units of one pairwise gcd, measured on 2 vCPUs: the
+# numpy calls of one choice of the fixed values, up to 32 us in
+# _brute_pairwise ((300, 30, 30, 30)) and 5-10 us per tail test in
+# _brute_kwise (10-40 us a choice on tails of one value); the k-wise gcds
+# take 10-20 ns, as one operand is a running gcd, mostly 1; and its bit cube
+# 0.5-1.2 ns a byte over three tests ((4, 3) cubes, n = 100..600)
+_CHOICE_UNITS = 500
+_TEST_UNITS = 150
+_KWISE_GCDS_PER_UNIT = 3
+_CUBE_BYTES_PER_UNIT = 32
 
 
 def _value_count(bound: int, side) -> int:
@@ -339,69 +338,43 @@ def _value_count(bound: int, side) -> int:
     return (bound - side.residue) // side.modulus + (side.residue > 0)
 
 
-def _check_brute_work(counts: list[int], bounds, k: int) -> None:
-    """Refuse, before any array is built, the boxes whose kernel would run
-    past about 30-35 s: the gcds of the mutual and pairwise kernels
-    (``_brute_cells``), the weighted work of ``_brute_k34``
-    (``_brute_k34_cells``) and the prefix steps of ``_brute_generic``."""
-    r = len(counts)
-    if k in (2, r):
-        cells = _brute_cells(counts, bounds, k)
-        if cells > BRUTE_CELL_CAP:
-            raise CapacityError(
-                f"brute force would take about {cells} gcds, past the cap {BRUTE_CELL_CAP}"
-            )
-    elif (r, k) == (4, 3):
-        gcds, cells = _brute_k34_cells(counts)
-        work = 64 * gcds + cells + 75_000 * max(counts)
-        if work > K34_WORK_CAP:
-            raise CapacityError(
-                f"brute force would take about {gcds} gcds and {cells} mask cells, "
-                f"{work} work units past the cap {K34_WORK_CAP}"
-            )
-    else:
-        steps = prod(counts[:-1]) * (comb(r - 1, k - 1) + 3)
-        if steps > GENERIC_STEP_CAP:
-            raise CapacityError(
-                f"the brute-force prefix enumeration would take about {steps} steps, "
-                f"past the cap {GENERIC_STEP_CAP}"
-            )
-
-
-def _brute_k34_cells(counts: list[int]) -> tuple[int, int]:
-    """The gcds and the boolean mask cells that ``_brute_k34`` takes on
-    arrays of ``counts`` values: the (2, 3, 4) triples once, then per value
-    of the widest coordinate its partial gcds with the next two and their
-    gcds with the coordinates after them."""
-    n1, n2, n3, n4 = sorted(counts, reverse=True)
-    gcds = n2 * n3 * (1 + n4) + n1 * (n2 + n3 + n2 * n3 + n2 * n4 + n3 * n4)
-    return gcds, n1 * n2 * n3 * n4
-
-
-def _brute_cells(counts: list[int], bounds, k: int) -> int:
-    """An upper bound on the gcds that ``_brute_mutual`` (k = r) or
-    ``_brute_pairwise`` (k = 2) takes on arrays of ``counts`` values, taken
-    in the order the kernel sorts them.
+def _brute_plan(counts: list[int], bounds, k: int):
+    """(kernel, gcds, work) for subsets of size k on arrays of ``counts``
+    values: the brute-force kernel, an upper bound on the gcds it takes, in
+    the order it sorts the arrays, and its time in units of one pairwise gcd.
 
     Mutual: each fold meets the distinct running gcds, at most the values of
     the first coordinate and at most its bound.  Pairwise: the three
     matrices, then per choice of the fixed values, one gcd with every value
-    of the tails and of the fixed arrays still to come.
+    of the tails and of the fixed arrays still to come, plus the numpy calls
+    of each choice.  K-wise: at k = 3 the cube of the tail, then per choice
+    of the fixed values one test on each set of tail axes that a k-subset
+    can hold, plus the numpy calls of the tests and the bit cube.
     """
     r = len(counts)
     if k == r:
         first, *rest = sorted(range(r), key=counts.__getitem__)
-        distinct, cells = counts[first], 0
+        distinct, gcds = counts[first], 0
         for i in rest:
-            cells += distinct * counts[i]
+            gcds += distinct * counts[i]
             distinct = min(distinct * counts[i], bounds[first])
-        return cells
-    *fixed, a, b, c = sorted(counts, reverse=True)
-    cells, choices = b * c + a * (b + c), 1
-    for j, size in enumerate(fixed):
-        choices *= size
-        cells += choices * (a + b + c + sum(fixed[j + 1 :]))
-    return cells
+        return _brute_mutual, gcds, gcds
+    *fixed, z, y, x = sorted(counts, reverse=True)
+    choices = prod(fixed) if fixed else 0
+    if k == 2:
+        gcds, prefixes = y * x + z * (y + x), 1
+        for j, size in enumerate(fixed):
+            prefixes *= size
+            gcds += prefixes * (z + y + x + sum(fixed[j + 1 :]))
+        return _brute_pairwise, gcds, gcds + _CHOICE_UNITS * choices
+    # the tail sizes j that a k-subset with a fixed coordinate can hold
+    sizes = [j for j in (1, 2, 3) if 1 <= k - j <= len(fixed)]
+    per_size = {1: x + y + z, 2: 2 * x + y + x * y + x * z + y * z, 3: x + x * y + x * y * z}
+    gcds = (k == 3) * (x * y + x * y * z) + choices * sum(per_size[j] for j in sizes)
+    per_choice = _TEST_UNITS * (1 + sum(comb(3, j) for j in sizes)) + comb(r, k) * k
+    per_choice += x * y * (z + 7) // 8 // _CUBE_BYTES_PER_UNIT
+    work = gcds // _KWISE_GCDS_PER_UNIT + choices * per_choice
+    return partial(_brute_kwise, k=k), gcds, work
 
 
 def _row_blocks(n_rows: int, width: int, block: int):
@@ -471,63 +444,80 @@ def _coprime_masks(fixed, tails, masks=None):
         )
 
 
-def _brute_k34(vals) -> int:
-    # every 3 of 4 coordinates must have gcd 1; the widest is enumerated
-    v1, v2, v3, v4 = sorted(vals, key=len, reverse=True)
-    G23 = np.gcd.outer(v2, v3)
-    T = np.gcd(G23[:, :, None], v4[None, None, :]) == 1  # triple (2,3,4)
-    total = 0
-    for x1 in v1.tolist():
-        g2 = np.gcd(x1, v2)
-        g3 = np.gcd(x1, v3)
-        U = np.gcd.outer(g2, v3) == 1  # triple (1,2,3)
-        V = np.gcd.outer(g2, v4) == 1  # triple (1,2,4)
-        W = np.gcd.outer(g3, v4) == 1  # triple (1,3,4)
-        E = U[:, :, None] & V[:, None, :]
-        E &= W[None, :, :]
-        E &= T
-        total += int(np.count_nonzero(E))
-    return total
-
-
-def _brute_generic(vals, subsets) -> int:
+# the k = 3 cube of _brute_kwise is built 2**17 cells at a time, 1 MB of
+# int64 gcds: the (4, 3) cube at n = 100 peaks at 2.2 MB traced, 8.8 MB in
+# blocks of 2**20
+def _brute_kwise(vals, k: int, block: int = _BRUTE_BLOCK >> 3) -> int:
+    # every k of the r coordinates coprime, 3 <= k < r.  By decreasing value
+    # count the first r - 3 are fixed one value at a time, and a prefix is
+    # dropped once a k-subset inside it shares a factor.  The last three,
+    # z, y, x (axes 2, 1, 0 of the tail, z the widest), are counted as one
+    # boolean cube, kept as bits along z.  A k-subset S with tail axes Q
+    # holds iff gcd(g, the values on Q) = 1, g the gcd of S's fixed values.
+    # The g of the subsets on Q merge into one modulus, their lcm, which
+    # divides the product of the fixed values, at most the volume; a modulus
+    # of 1 tests nothing.  At k = 3 the subset of the tail alone gives the
+    # cube every prefix starts from, built once in row blocks.
     r = len(vals)
-    last = r - 1
-    with_last = [S for S in subsets if last in S]
-    closers = {
-        d: [S for S in subsets if last not in S and max(S) == d] for d in range(r)
-    }
-    vlast = vals[last]
-    total = 0
-    chosen = [0] * (r - 1)
+    *fixed, z, y, x = sorted(vals, key=len, reverse=True)
+    f = len(fixed)
+    tails = (x[:, None, None], y[None, :, None], z[None, None, :])
 
-    def rec(depth: int) -> None:
-        nonlocal total
-        if depth == last:
-            mask = np.ones(len(vlast), dtype=bool)
-            for S in with_last:
-                g = 0
-                for i in S:
-                    if i != last:
-                        g = gcd(g, chosen[i])
-                mask &= np.gcd(g, vlast) == 1
-            total += int(np.count_nonzero(mask))
-            return
-        for x in vals[depth]:
-            chosen[depth] = int(x)
-            ok = True
-            for S in closers[depth]:
-                g = 0
-                for i in S:
-                    g = gcd(g, chosen[i])
-                if g != 1:
-                    ok = False
-                    break
-            if ok:
-                rec(depth + 1)
+    def test(Q, m):
+        """(gcd(m, the values on Q) == 1) over the tail: packed along z when
+        Q holds z, else as bytes of 0 or 255 that cover whole rows of bits."""
+        g = m
+        for i in Q:
+            g = np.gcd(g, tails[i])
+        t = g == 1
+        return np.packbits(t, axis=-1) if Q[-1] == 2 else t * np.uint8(255)
 
-    rec(0)
-    return total
+    # each k-subset by its fixed part P and its tail axes Q
+    closers = [[] for _ in range(f)]
+    with_tail: dict[tuple, list[tuple]] = {}
+    for S in combinations(range(r), k):
+        P = tuple(i for i in S if i < f)
+        Q = tuple(sorted(r - 1 - i for i in S if i >= f))
+        if not Q:
+            closers[P[-1]].append(P)
+        elif P:
+            with_tail.setdefault(P, []).append(Q)
+    shape = (len(x), len(y), (len(z) + 7) // 8)
+    if k == 3:
+        base = np.empty(shape, dtype=np.uint8)
+        for rows in _row_blocks(len(x), len(y) * len(z), block):
+            xyz = np.gcd(np.gcd(tails[0][rows], tails[1]), tails[2])
+            base[rows] = np.packbits(xyz == 1, axis=-1)
+    else:
+        base = np.packbits(np.ones(len(z), dtype=bool))
+    # the cube's bytes, then zeros up to whole uint64 words for the popcount
+    words = np.zeros(-(-prod(shape) // 8), dtype=np.uint64)
+    bits = words.view(np.uint8)[: prod(shape)].reshape(shape)
+    full = int(np.bitwise_count(np.broadcast_to(base, shape)).sum())
+    chosen = [0] * f
+
+    def count(d: int) -> int:
+        if d < f:
+            total = 0
+            for v in fixed[d].tolist():
+                chosen[d] = v
+                if all(gcd(*[chosen[i] for i in P]) == 1 for P in closers[d]):
+                    total += count(d + 1)
+            return total
+        moduli: dict[tuple, int] = {}
+        for P, Qs in with_tail.items():
+            g = gcd(*[chosen[i] for i in P])
+            if g > 1:
+                for Q in Qs:
+                    moduli[Q] = lcm(moduli.get(Q, 1), g)
+        if not moduli:
+            return full
+        cube = base
+        for Q, m in moduli.items():
+            cube = np.bitwise_and(cube, test(Q, m), out=bits)
+        return int(np.bitwise_count(words).sum())
+
+    return count(0)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +547,13 @@ _MOBIUS_ROWS_MAX = 2_000_000  # pairwise r = 7 reaches it in 11-14 s, under 200 
 
 
 @lru_cache(maxsize=2)
-def _mobius_table(bounds: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray]:
+def _mobius_table(bounds: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The rows (L, c(L)) of count = sum_L c(L) prod_i N_i(L_i) for the class
     whose constrained subsets are all k-subsets of the coordinates, as an
     (r, rows) int32 matrix of L values and an int64 coefficient vector, both
-    read-only.  The last two tables are kept, so the side-condition variants
-    of one box shape replay a table instead of searching again.
+    read-only, and the largest |c(L)|.  The last two tables are kept, so the
+    side-condition variants of one box shape replay a table instead of
+    searching again.
 
     c(L) sums prod_S mu(d_S) over the assignments of squarefree d_S with lcm
     vector L, so it is a product over primes p of ``_pattern_coefficient`` of
@@ -624,7 +615,7 @@ def _mobius_table(bounds: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarr
     W = np.ones(rows, dtype=np.int64)
     W[1:] = coefs[chunk]
     A.flags.writeable = W.flags.writeable = False
-    return A, W
+    return A, W, int(np.abs(W).max())
 
 
 def _triangle(n):
@@ -763,11 +754,12 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
         sq = tables.squarefree_up_to(min(box.bounds))
         A = np.broadcast_to(sq, (box.r, len(sq)))
         W = tables.mobius[sq].astype(np.int64)
+        wmax = 1
     else:
-        A, W = _mobius_table(box.bounds, constraint.effective_k)
+        A, W, wmax = _mobius_table(box.bounds, constraint.effective_k)
         if len(W) > _MOBIUS_ROWS_MAX:  # a table built under a larger budget
             raise CapacityError(f"the Möbius table passes {_MOBIUS_ROWS_MAX} rows")
-    dtype = _row_dtype(volume, int(np.abs(W).max()))
+    dtype = _row_dtype(volume, wmax)
     total = 0
     for lo in range(0, len(W), _ROW_SLICE):
         rows = slice(lo, lo + _ROW_SLICE)

@@ -124,12 +124,11 @@ def _occupancy_slabs(n: int, constraint: TupleConstraint):
         yield a, b, occ
 
 
-def _prefix_slabs(n: int, constraint: TupleConstraint, grid: np.ndarray | None = None):
+def _prefix_slabs(n: int, constraint: TupleConstraint):
     """Prefix counts over [0,n]^r, one ``_slabs`` row range at a time.
 
     Yields ``(a, b, block)``: ``block[i]`` is the int32 row a + i of the
-    cumulative grid.  The rows are written into ``grid[a:b]`` when a grid is
-    given, else into one buffer that the next slab reuses, so a caller is
+    cumulative grid, in one buffer that the next slab reuses, so a caller is
     done with ``block`` before it asks for the next one.  The membership is
     copied in and each inner axis takes one ``cumsum`` in place (a ``cumsum``
     that casts the booleans itself took up to three times as long); along
@@ -138,33 +137,29 @@ def _prefix_slabs(n: int, constraint: TupleConstraint, grid: np.ndarray | None =
     """
     r = constraint.r
     inner = (slice(None),) + (slice(1, None),) * (r - 1)
-    carry = grid is None
-    if carry:
-        # row 0 of the buffer carries the last row of the slab before
-        grid = np.zeros((next(_slabs(n, r))[1] + 1,) + (n + 1,) * (r - 1), dtype=np.int32)
+    # row 0 of the buffer carries the last row of the slab before
+    buf = np.zeros((next(_slabs(n, r))[1] + 1,) + (n + 1,) * (r - 1), dtype=np.int32)
     for a, b, occ in _occupancy_slabs(n, constraint):
-        lo = 1 if carry else a
-        block = grid[lo : lo + b - a]
+        block = buf[1 : 1 + b - a]
         block[inner] = occ
         for axis in range(1, r):
             np.cumsum(block, axis=axis, out=block)
-        for i in range(max(lo, 1), lo + b - a):
-            grid[i] += grid[i - 1]
+        for i in range(1, 1 + b - a):
+            buf[i] += buf[i - 1]
         yield a, b, block
-        if carry:
-            grid[0] = block[-1]
+        buf[0] = block[-1]
 
 
 def build_grid(n: int, constraint: TupleConstraint) -> CountGrid:
     """Prefix-count grid for all boxes with bounds <= n in each coordinate.
 
-    ``_prefix_slabs`` fills it in place, so no full-size temporary is made
-    beside the int32 grid.
+    Each slab of ``_prefix_slabs`` is copied into the int32 grid, so the
+    build holds one grid and one slab.
     """
     _check_scale(n, constraint.r)
-    cum = np.zeros((n + 1,) * constraint.r, dtype=np.int32)
-    for _ in _prefix_slabs(n, constraint, cum):
-        pass
+    cum = np.empty((n + 1,) * constraint.r, dtype=np.int32)
+    for a, b, block in _prefix_slabs(n, constraint):
+        cum[a:b] = block
     return CountGrid(n=n, r=constraint.r, cumulative=cum)
 
 

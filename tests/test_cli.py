@@ -118,20 +118,47 @@ def test_count_bruteforce_past_the_cell_cap_is_refused_fast(capsys):
     assert "10000400000 gcds" in err
 
 
+def test_count_pairwise_bruteforce_past_its_choices_is_refused_fast(capsys):
+    # 4e8 gcds, under the cap, but 10**8 choices of the two wide coordinates,
+    # each a few numpy calls on one-value tails: minutes
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "count", "--class", "pairwise", "-r", "5", "-n", "10000",
+        "--alpha", "1,1,1/10000,1/10000,1/10000", "--method", "bruteforce",
+    )
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (4, "")
+    assert "50400030003 gcds" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     (
-        (["-r", "5", "-k", "3", "-n", "60"], "116640000 steps"),
-        (["-r", "4", "-k", "3", "-n", "5000", "--alpha", "1,1,1/5,1/5000"], "25070000000 gcds"),
+        (["-r", "5", "-k", "4", "-n", "100"], "3517490000 gcds"),
+        (["-r", "4", "-k", "3", "-n", "5000", "--alpha", "1,1,1/5,1/5000"], "8447520333 gcds"),
+        (["-r", "4", "-k", "3", "-n", "100000000", "--alpha", "1" + ",1/100000000" * 3],
+         "61400000000 gcds"),
     ),
 )
 def test_count_kwise_bruteforce_past_its_work_cap_is_refused_fast(capsys, argv, message):
-    # minutes of prefix enumeration and of the (4, 3) kernel
+    # minutes of the k-wise kernel: its gcds, or (last) 10**8 choices of the
+    # widest coordinate, each a few numpy calls
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "count", "--class", "kwise", *argv, "--method", "bruteforce")
     assert time.perf_counter() - start < 2
     assert (code, out) == (4, "")
     assert message in err
+
+
+def test_count_kwise_bruteforce_within_its_work_cap_equals_mobius(capsys):
+    # (5, 3) at n = 60, refused by the prefix enumeration that came before
+    # the cube kernel
+    code, out, _ = run_cli(
+        capsys, "count", "--class", "kwise", "-r", "5", "-k", "3", "-n", "60", "--method", "bruteforce"
+    )
+    assert code == 0
+    want = counting.count_mobius(Box.cube(60, 5), TupleConstraint.kwise(5, 3)).count
+    assert json.loads(out)["count"] == want
 
 
 def test_count_bruteforce_past_the_coordinate_cap_is_refused_fast(capsys):

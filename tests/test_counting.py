@@ -342,9 +342,8 @@ def test_pattern_coefficient_equals_subset_lattice_inclusion_exclusion():
 def test_row_dtype_scales_with_the_largest_coefficient():
     # 3-wise r = 6 rows carry coefficients up to 100 in size; the slice sums
     # fit in int64 only when volume * _ROW_SLICE * max |c(L)| is below 2**63
-    _, W = counting._mobius_table((20,) * 6, 3)
-    wmax = int(np.abs(W).max())
-    assert wmax == 100
+    _, W, wmax = counting._mobius_table((20,) * 6, 3)
+    assert wmax == int(np.abs(W).max()) == 100
     volume = (2**63 - 1) // counting._ROW_SLICE
     assert counting._row_dtype(volume, 1) is np.int64
     assert counting._row_dtype(volume, wmax) is object
@@ -370,7 +369,7 @@ def test_mobius_tables_are_replayed_read_only():
         assert count_mobius(box, c).count == count_box_bruteforce(box, c).count
     info = counting._mobius_table.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    A, W = counting._mobius_table(box.bounds, 2)
+    A, W, _ = counting._mobius_table(box.bounds, 2)
     assert not A.flags.writeable and not W.flags.writeable
 
 
@@ -533,34 +532,46 @@ def test_brute_cell_estimate_bounds_the_gcds_taken(monkeypatch):
         assert counts == [len(v) for v in vals]
         if 0 in counts:
             continue
-        for k, kernel in ((r, counting._brute_mutual), (2, counting._brute_pairwise)):
-            if k == 2 and r == 2:
-                continue
+        for k in range(2, r + 1):  # pairwise, k-wise, and mutual at k = r
+            kernel, gcds, _ = counting._brute_plan(counts, bounds, k)
             counter.cells = 0
             kernel(vals)
-            assert counter.cells <= counting._brute_cells(counts, bounds, k), (bounds, sides, k)
-        if r == 4:
-            counter.cells = 0
-            counting._brute_k34(vals)
-            assert counter.cells <= counting._brute_k34_cells(counts)[0], (bounds, sides)
+            assert counter.cells <= gcds, (bounds, sides, k)
 
 
 def test_bruteforce_refuses_past_the_cell_cap_before_building_arrays(monkeypatch):
     # 10**10 gcds of a 10**5 x 10**5 coprimality matrix: about 11 minutes
     monkeypatch.setattr(counting, "_allowed_values", None)
+    start = time.perf_counter()
     box = Box(bounds=(10**5, 10**5, 2), n=10**5)
     with pytest.raises(CapacityError, match="gcds"):
         count_box_bruteforce(box, TupleConstraint.pairwise(3))
     with pytest.raises(CapacityError, match="gcds"):
         count_box_bruteforce(Box.cube(150_000, 2), TupleConstraint.mutual(2))
-    # 2.5e10 gcds of the (4, 3) kernel, and 1.2e8 prefix steps at 15-20 us each
-    with pytest.raises(CapacityError, match="mask cells"):
+    # 10**8 choices of the two wide coordinates, each a few numpy calls
+    with pytest.raises(CapacityError, match="gcds"):
+        count_box_bruteforce(Box(bounds=(10**4, 10**4, 1, 1, 1), n=10**4), TupleConstraint.pairwise(5))
+    # 2.5e10 and 1e10 gcds of the k-wise kernel: minutes
+    with pytest.raises(CapacityError, match="gcds"):
         count_box_bruteforce(Box(bounds=(5000, 5000, 1000, 1), n=5000), TupleConstraint.kwise(4, 3))
-    with pytest.raises(CapacityError, match="prefix enumeration"):
-        count_box_bruteforce(Box.cube(60, 5), TupleConstraint.kwise(5, 3))
-    # 10**8 values of the widest coordinate, 30 us each, though few gcds
-    with pytest.raises(CapacityError, match="mask cells"):
+    with pytest.raises(CapacityError, match="gcds"):
+        count_box_bruteforce(Box.cube(100, 5), TupleConstraint.kwise(5, 4))
+    # 10**8 values of the widest coordinate, each a few numpy calls, though few gcds
+    with pytest.raises(CapacityError, match="gcds"):
         count_box_bruteforce(Box(bounds=(10**8, 1, 1, 1), n=10**8), TupleConstraint.kwise(4, 3))
+    assert time.perf_counter() - start < 2
+
+
+def test_kwise_bruteforce_counts_what_the_prefix_enumeration_could_not():
+    # the plain prefix enumeration refused (5, 3) at n = 60 (1.2e8 steps) and
+    # took 39 s and 5.7 s on the other two; the bit-cube kernel takes about
+    # 0.9, 0.25 and 0.25 s on 2 vCPUs
+    for r, k, n in ((5, 3, 60), (5, 3, 40), (8, 4, 5)):
+        box, c = Box.cube(n, r), TupleConstraint.kwise(r, k)
+        start = time.perf_counter()
+        got = count_box_bruteforce(box, c).count
+        assert time.perf_counter() - start < 5, (r, k, n)
+        assert got == count_mobius(box, c).count, (r, k, n)
 
 
 def test_bruteforce_skips_empty_coordinates_before_building_arrays(monkeypatch):
@@ -581,11 +592,11 @@ def test_bruteforce_cell_cap_admits_the_certified_boxes():
         ((320, 240, 180), 2),
         ((1012,) * 3, 2),
         ((1012,) * 3, 3),
+        # k-wise (4, 3) of the multi-subset workload and of acceptance test 3
+        ((100,) * 4, 3),
+        ((300,) * 4, 3),
     ):
-        assert counting._brute_cells(list(bounds), bounds, k) <= counting.BRUTE_CELL_CAP, bounds
-    # k-wise (4, 3) of the multi-subset workload and of acceptance test 3
-    for n in (100, 300):
-        counting._check_brute_work([n] * 4, (n,) * 4, 3)
+        assert counting._brute_plan(list(bounds), bounds, k)[2] <= counting.BRUTE_CELL_CAP, bounds
 
 
 def test_bruteforce_volume_cap():
@@ -606,9 +617,53 @@ def _two_shared_sides(rng: random.Random, r: int) -> tuple:
     return tuple(sides)
 
 
+# the plain prefix enumeration that every brute-force kernel is checked
+# against: each value of every coordinate but the last, one at a time, and a
+# gcd mask over the last
+def _brute_generic(vals, subsets) -> int:
+    r = len(vals)
+    last = r - 1
+    with_last = [S for S in subsets if last in S]
+    closers = {
+        d: [S for S in subsets if last not in S and max(S) == d] for d in range(r)
+    }
+    vlast = vals[last]
+    total = 0
+    chosen = [0] * (r - 1)
+
+    def rec(depth: int) -> None:
+        nonlocal total
+        if depth == last:
+            mask = np.ones(len(vlast), dtype=bool)
+            for S in with_last:
+                g = 0
+                for i in S:
+                    if i != last:
+                        g = gcd(g, chosen[i])
+                mask &= np.gcd(g, vlast) == 1
+            total += int(np.count_nonzero(mask))
+            return
+        for x in vals[depth]:
+            chosen[depth] = int(x)
+            ok = True
+            for S in closers[depth]:
+                g = 0
+                for i in S:
+                    g = gcd(g, chosen[i])
+                if g != 1:
+                    ok = False
+                    break
+            if ok:
+                rec(depth + 1)
+
+    rec(0)
+    return total
+
+
 def test_brute_kernels_equal_the_generic_enumeration():
-    # r = 2..6, moduli that share primes, ragged and zero bounds; the 7-cell
-    # block runs the block loops that the default block size skips here
+    # r = 2..6, every subset size, moduli that share primes, ragged and zero
+    # bounds; the 7-cell block runs the block loops that the default block
+    # size skips here
     rng = random.Random(20261019)
     caps = {2: 60, 3: 30, 4: 16, 5: 10, 6: 8}
     kinds_seen = set()
@@ -624,11 +679,45 @@ def test_brute_kernels_equal_the_generic_enumeration():
         kernels = [(r, counting._brute_mutual)]
         if r >= 3:
             kernels.append((2, counting._brute_pairwise))
+        for k in range(3, r):
+            kernels.append((k, lambda vals, block, k=k: counting._brute_kwise(vals, k, block)))
         for k, kernel in kernels:
-            want = counting._brute_generic(vals, tuple(combinations(range(r), k)))
+            want = _brute_generic(vals, tuple(combinations(range(r), k)))
             for block in (counting._BRUTE_BLOCK, 7):
                 assert kernel(vals, block) == want, (trial, k, bounds, sides, block)
     assert kinds_seen == {"CoprimeTo", "DivisibleBy", "Residue"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.sampled_from(("mutual", "pairwise", "kwise")),
+            st.integers(2, r),
+            st.lists(st.integers(0, {2: 40, 3: 16, 4: 9, 5: 6, 6: 5}[r]), min_size=r, max_size=r),
+            st.lists(
+                st.one_of(
+                    st.none(),
+                    st.sampled_from(SHARED_MODULI).map(CoprimeTo),
+                    st.sampled_from(SHARED_MODULI).map(DivisibleBy),
+                    st.sampled_from(SHARED_MODULI).flatmap(
+                        lambda a: st.integers(0, a - 1).map(lambda b: Residue(a, b))
+                    ),
+                ),
+                min_size=r,
+                max_size=r,
+            ),
+        )
+    )
+)
+def test_bruteforce_equals_mobius_on_random_boxes(case):
+    # every class and every k-wise k, so every brute-force kernel, with random
+    # sides of every kind on every coordinate, zero bounds included
+    r, kind, k, bounds, sides = case
+    c = TupleConstraint(r=r, kind=kind, k=k if kind == "kwise" else None, sides=tuple(sides))
+    box = Box(bounds=tuple(bounds), n=max(max(bounds), 1))
+    assert count_box_bruteforce(box, c).count == count_mobius(box, c).count
 
 
 def test_engines_equal_bruteforce_up_to_r8():
