@@ -27,8 +27,10 @@ Three counting routes, all integer-exact:
   sum_d mu(d) prod_i (B_i // d), one case of the quotient-set kernel below.
   Otherwise the assignments are grouped by L, whose coefficient c(L) is a
   product over primes of a factor that depends only on how many L_i the
-  prime divides; a depth-first search over primes lists the rows (L, c(L))
-  (or a cached table replays them), and one row evaluator sums the products
+  prime divides; a breadth-first search over primes, one level per prime in
+  numpy batches, lists the rows (L, c(L)), counting them before it makes
+  them, so a table past its row budget is refused before it takes memory (or
+  a cached table replays them), and one row evaluator sums the products
   exactly, in int64 when the volume and the largest |c(L)| allow and in
   Python integers otherwise; the tests certify it against brute force.
 * the recursive pairwise counter (``count_toth``) — peels one coordinate per
@@ -50,8 +52,8 @@ here: divisibility patterns.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -543,7 +545,8 @@ def _check_subset_cap(constraint: TupleConstraint) -> None:
         )
 
 
-_MOBIUS_ROWS_MAX = 2_000_000  # pairwise r = 7 reaches it in 11-14 s, under 200 MB, on 2 vCPUs
+_MOBIUS_ROWS_MAX = 2_000_000  # pairwise r = 7, n = 20 is refused in 0.9 s, under 100 MB, on 2 vCPUs
+_MOBIUS_BATCH = 1 << 16  # rows made at once: a batch of frontier nodes, a slice of the table
 
 
 @lru_cache(maxsize=2)
@@ -558,62 +561,89 @@ def _mobius_table(bounds: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarr
     c(L) sums prod_S mu(d_S) over the assignments of squarefree d_S with lcm
     vector L, so it is a product over primes p of ``_pattern_coefficient`` of
     the number of L_i that p divides.  Only L with L_i <= B_i are listed; they
-    need primes up to the k-th largest bound.  The primes are taken depth-first
-    in increasing order.  At a node (the L of the primes so far) each pattern
-    I of at least k coordinates with room for the next prime gives one slice
-    of rows, "one more prime p on I" for every p up to min_{i in I} B_i // L_i,
-    and the search descends only into the p after which k coordinates still
-    have room for a larger prime.
+    need primes up to the k-th largest bound.  The primes are taken in
+    increasing order, one level of the search per prime, breadth-first.  A
+    level's frontier is numpy arrays of nodes (L, c(L), index of the first
+    prime left), searched in batches; each pattern I of at least k coordinates
+    gives a node one chunk of rows, "one more prime p on I" for every p from
+    its first prime left up to min_{i in I} B_i // L_i, and the next level's
+    frontier is the rows after whose p k coordinates still have room for a
+    larger prime.  A batch keeps only its chunks, and rows are made from
+    chunks already counted: the frontier batch by batch, the table once the
+    search ends.  So a table past ``_MOBIUS_ROWS_MAX`` rows is refused before
+    its rows take memory.
     """
     r = len(bounds)
     tables = shared_tables(max(bounds))
     primes = tables.primes[: int(np.searchsorted(tables.primes, sorted(bounds)[-k], side="right"))]
-    plist = primes.tolist()
-    coefficient = [_pattern_coefficient(m, k) for m in range(r + 1)]
-    # one chunk per (node, pattern): its L, I as bits, prime slice and coefficient
-    base, bits, firsts, ends, coefs = (array("q") for _ in range(5))
-    rows = 1
+    primes = primes.astype(np.int32)  # every L_i <= B_i <= 10**8 fits in int32
+    patterns = [list(I) for m in range(k, r + 1) for I in combinations(range(r), m)]
+    on = np.array([[i in I for I in patterns] for i in range(r)])
+    coefficient = np.array([_pattern_coefficient(len(I), k) for I in patterns])
+    B = np.array(bounds, dtype=np.int32)[:, None]
 
-    stack = [([1] * r, 1, 0)]  # nodes: L, c(L), index of the smallest prime left
-    while stack:
-        L, c, first = stack.pop()
-        if first == len(plist):
-            continue
-        room = [b // v for b, v in zip(bounds, L)]
-        q = plist[first]
-        coords = [i for i in range(r) if room[i] >= q]
-        # the largest p with p (p + 1) <= room: p on i leaves room for a larger prime
-        square = [(isqrt(4 * v + 1) - 1) // 2 for v in room]
-        for m in range(k, len(coords) + 1):
-            cm = c * coefficient[m]
-            for I in combinations(coords, m):
-                end = bisect_right(plist, min(room[i] for i in I), first)
-                base.extend(L)
-                bits.append(sum(1 << i for i in I))
-                firsts.append(first)
-                ends.append(end)
-                coefs.append(cm)
-                rows += end - first
+    def extend(L, c, node, pattern, start, end):
+        """The rows "prime t on pattern" of every chunk (node, pattern) and
+        start <= t < end: their L, c(L) and index t + 1 of the first prime left."""
+        lengths = np.maximum(end - start, 0)
+        chunk = np.repeat(np.arange(len(node)), lengths)
+        t = np.arange(len(chunk)) + np.repeat(start - np.cumsum(lengths) + lengths, lengths)
+        p, owner, pattern = primes[t], node[chunk], pattern[chunk]
+        A, on_row = L[:, owner], on[:, pattern]
+        for i in range(r):
+            np.multiply(A[i], p, out=A[i], where=on_row[i])
+        return A, c[owner] * coefficient[pattern], (t + 1).astype(np.int32)
+
+    def batches(L, c, node, pattern, start, end):
+        """``extend``'s arguments cut into runs of about _MOBIUS_BATCH rows."""
+        ends = np.cumsum(np.maximum(end - start, 0))
+        cuts = np.searchsorted(ends, np.arange(_MOBIUS_BATCH, ends[-1], _MOBIUS_BATCH), side="right")
+        cuts = list(dict.fromkeys([0, *cuts.tolist(), len(node)]))
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield L, c, node[lo:hi], pattern[lo:hi], start[lo:hi], end[lo:hi]
+
+    root = np.ones((r, 1), dtype=np.int32), np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int32)
+    queue = deque([lambda: root])  # frontier batches, made when they are searched
+    chunks, rows = [], 1  # row 0 is L = (1, ..., 1)
+    while queue:
+        L, c, first = queue.popleft()()
+        room = B // L
+        # p on i leaves room for a larger prime while p (p + 1) <= room_i (the
+        # float root of an int below 2**31 is exact to the floor), off i while
+        # p < room_i; a child needs k such coordinates
+        square, below = ((np.sqrt(4.0 * room + 1) - 1) // 2).astype(np.int32), room - 1
+        nodes, pattern, ends, stops = [], [], [], []
+        for j, I in enumerate(patterns):
+            end = np.searchsorted(primes, room[I].min(axis=0), side="right")
+            node = np.flatnonzero(end > first)
+            if len(node):
+                end = end[node]
+                rows += int(end.sum() - first[node].sum())
                 if rows > _MOBIUS_ROWS_MAX:
                     raise CapacityError(f"the Möbius table passes {_MOBIUS_ROWS_MAX} rows")
-                lim = sorted(square[i] if i in I else room[i] - 1 for i in range(r))[-k]
-                for t in range(first, bisect_right(plist, lim, first, end)):
-                    p = plist[t]
-                    stack.append(([v * p if i in I else v for i, v in enumerate(L)], cm, t + 1))
+                lim = np.where(on[:, j, None], square[:, node], below[:, node])
+                lim = np.partition(lim, r - k, axis=0)[r - k]
+                nodes.append(node)
+                pattern.append(np.full(len(node), j))
+                ends.append(end)
+                stops.append(np.searchsorted(primes, lim, side="right"))
+        if not nodes:
+            continue
+        node, pattern, end, stop = (np.concatenate(a, dtype=np.int32) for a in (nodes, pattern, ends, stops))
+        start, stop = first[node], np.minimum(stop, end)
+        chunks.append((L, c, node, pattern, start, end))
+        if (stop > start).any():
+            queue.extend(partial(extend, *b) for b in batches(L, c, node, pattern, start, stop))
 
-    base, bits, firsts, ends, coefs = (
-        np.frombuffer(a, dtype=np.int64) for a in (base, bits, firsts, ends, coefs)
-    )
-    lengths = ends - firsts
-    chunk = np.repeat(np.arange(len(lengths)), lengths)
-    p = primes[np.arange(rows - 1) - np.repeat(np.cumsum(lengths) - ends, lengths)]
-    base = base.reshape(len(lengths), r)
-    bits = bits[chunk]
-    A = np.ones((r, rows), dtype=np.int32)  # row 0 is L = (1, ..., 1)
-    for i in range(r):
-        A[i, 1:] = base[chunk, i] * np.where(bits >> i & 1, p, 1)
+    A = np.ones((r, rows), dtype=np.int32)
     W = np.ones(rows, dtype=np.int64)
-    W[1:] = coefs[chunk]
+    lo = 1
+    for chunk in chunks:
+        for batch in batches(*chunk):
+            a, w, _ = extend(*batch)
+            A[:, lo : lo + len(w)] = a
+            W[lo : lo + len(w)] = w
+            lo += len(w)
     A.flags.writeable = W.flags.writeable = False
     return A, W, int(np.abs(W).max())
 

@@ -14,7 +14,7 @@ FAIL_FIXTURE = str(DATA / "failing-campaign.ini")
 from coprime_lab import cli, counting, montecarlo
 from coprime_lab.constants import density
 from coprime_lab.constraints import Box, CoprimeTo, DivisibleBy, Residue, TupleConstraint
-from coprime_lab.counting import count_box
+from coprime_lab.counting import count_box, count_toth
 
 
 def run_cli(capsys, *argv):
@@ -234,16 +234,39 @@ def test_count_bad_constraint_flags_exit_2(capsys, flags):
     (
         (["--class", "kwise", "-r", "5", "-k", "3", "-n", "8"], 13636),
         (["--class", "pairwise", "-r", "4", "-n", "22", "--method", "mobius"], 23893),
+        (["--class", "pairwise", "-r", "5", "-n", "60", "--method", "mobius"], 28822516),
     ),
 )
 def test_count_mobius_tables_are_fast(capsys, argv, want):
-    # the subset-variable DFS took 52 s and 1.2 s on these boxes
+    # the subset-variable DFS took 52 s and 1.2 s on the first two boxes; the
+    # depth-first prime search took 1.0 s on the third
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "count", *argv)
     assert time.perf_counter() - start < 1
     assert code == 0
     row = json.loads(out)
     assert (row["count"], row["method"]) == (want, "Mobius")
+    if "pairwise" in argv:
+        r, n = (int(argv[argv.index(flag) + 1]) for flag in ("-r", "-n"))
+        assert count_toth((n,) * r).count == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["--class", "pairwise", "-r", "6", "-n", "60", "--method", "mobius"],
+        ["--class", "kwise", "-r", "7", "-k", "3", "-n", "30"],
+        ["--class", "kwise", "-r", "10", "-k", "3", "-n", "20"],
+    ),
+)
+def test_count_mobius_past_its_row_budget_is_refused_fast(capsys, argv):
+    # the depth-first prime search listed rows for 4-15 s before the budget
+    # refused these tables
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (4, "")
+    assert f"passes {counting._MOBIUS_ROWS_MAX} rows" in err
 
 
 def test_count_zero_alpha(capsys):

@@ -37,7 +37,7 @@ from coprime_lab.counting import (
 )
 from coprime_lab.errors import CapacityError, UnsupportedError
 
-from closed_forms import euler_phi
+from closed_forms import euler_phi, mobius_of
 
 
 def oracle_count(box: Box, constraint: TupleConstraint) -> int:
@@ -337,6 +337,47 @@ def test_pattern_coefficient_equals_subset_lattice_inclusion_exclusion():
                         if {i for S in family for i in S} == set(range(m)):
                             direct += (-1) ** len(family)
                     assert got == direct, (r, k, m)
+
+
+def _mobius_rows_by_definition(bounds, k) -> list[tuple[tuple[int, ...], int]]:
+    """The rows (L, c(L)) from their definition: every assignment of a
+    squarefree d_S to each k-subset S, grouped by L_i = lcm of the d_S with
+    i in S (kept while every L_i <= B_i), c(L) the sum of prod_S mu(d_S),
+    zero sums dropped."""
+    r = len(bounds)
+    subsets = list(combinations(range(r), k))
+    sums = {}
+
+    def assign(j, L, sign):
+        if j == len(subsets):
+            sums[L] = sums.get(L, 0) + sign
+            return
+        S = subsets[j]
+        for d in range(1, min(bounds[i] for i in S) + 1):
+            mu = mobius_of(d)
+            L_d = tuple(lcm(v, d) if i in S else v for i, v in enumerate(L))
+            if mu and all(v <= b for v, b in zip(L_d, bounds)):
+                assign(j + 1, L_d, sign * mu)
+
+    assign(0, (1,) * r, 1)
+    return sorted((L, c) for L, c in sums.items() if c)
+
+
+@pytest.mark.parametrize("batch", (counting._MOBIUS_BATCH, 3))
+def test_mobius_table_rows_equal_their_definition(monkeypatch, batch):
+    # batches of about 3 rows cut every frontier and every slice of the table
+    monkeypatch.setattr(counting, "_MOBIUS_BATCH", batch)
+    counting._mobius_table.cache_clear()
+    rng = random.Random(17)
+    for r in range(2, 5):
+        for k in range(2, r + 1):
+            shapes = [(10,) * r, (1,) + (10,) * (r - 1)]
+            shapes += [tuple(rng.randint(1, 10) for _ in range(r)) for _ in range(3)]
+            for bounds in shapes:
+                A, W, wmax = counting._mobius_table(bounds, k)
+                rows = sorted(zip(map(tuple, A.T.tolist()), W.tolist()))
+                assert rows == _mobius_rows_by_definition(bounds, k), (bounds, k)
+                assert wmax == max(abs(c) for _, c in rows)
 
 
 def test_row_dtype_scales_with_the_largest_coefficient():
