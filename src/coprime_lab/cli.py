@@ -239,6 +239,18 @@ class RowSpec:
     confidence: float
     target: constants.Interval | None = None  # overrides the derived constant
 
+    def __post_init__(self) -> None:
+        # checked as each row is made, so a bad row is refused before any row runs
+        if self.n < 1:
+            raise ValueError(f"[{self.name}] n must be >= 1, got {self.n}")
+        if not 0 <= self.tolerance < float("inf"):
+            raise ValueError(f"[{self.name}] tolerance must be finite, >= 0, got {self.tolerance}")
+        mc = self.method == "montecarlo"
+        if mc and self.samples < 100:
+            raise ValueError(f"[{self.name}] samples must be >= 100, got {self.samples}")
+        if mc and not 0 < self.confidence < 1:
+            raise ValueError(f"[{self.name}] confidence must be in (0,1), got {self.confidence}")
+
 
 def builtin_suite(args: argparse.Namespace) -> list[RowSpec]:
     """The shipped campaign: every density formula at its largest exact scale,

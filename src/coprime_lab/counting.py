@@ -34,13 +34,13 @@ Three counting routes, all integer-exact:
   exactly, in int64 when the volume and the largest |c(L)| allow and in
   Python integers otherwise; the tests certify it against brute force.
 * the recursive pairwise counter (``count_toth``) — peels one coordinate per
-  level, grouping its admissible values by radical and memoizing on the
-  primes of the accumulated coprimality modulus that can still divide a
-  remaining coordinate, down to a vectorized two-coordinate Möbius sum over
-  the same side-condition tables N_i.  ``count_box`` sends pairwise-type
-  classes (subset size 2) with r >= 3, at most ``ENGINE_MAX_SUBSETS``
-  subsets and bounds up to ``TOTH_BOUND_CAP`` here and everything else to
-  ``count_mobius``.
+  level in a forward pass, grouping its admissible values by radical and
+  carrying the ways to reach each set of accumulated coprimality primes that
+  can still divide a remaining coordinate, down to a vectorized two-coordinate
+  Möbius sum over the same side-condition tables N_i.  ``count_box`` sends
+  pairwise-type classes (subset size 2) with r >= 3, at most
+  ``ENGINE_MAX_SUBSETS`` subsets and bounds up to ``TOTH_BOUND_CAP`` here and
+  everything else to ``count_mobius``.
 
 The quotient-set kernel sums f(d) prod_i w(B_i // d) over the O(sqrt(B)) runs
 of d with constant quotients, taking F = sum f at the run ends from a sieve to
@@ -748,7 +748,7 @@ def _run_sum(bounds, F, w=None) -> int:
     return total
 
 
-_ROW_SLICE = 1 << 16
+_ROW_SLICE = 1 << 13
 
 
 def _row_dtype(volume: int, wmax: int):
@@ -849,10 +849,11 @@ def count_toth(bounds: tuple[int, ...], u: int = 1, sides=None) -> CountResult:
         P_d(u) = sum over radicals rho of admissible x_d, (rho, u) = 1,
                  of #{x_d with radical rho} * P_{d-1}(u * rho),
 
-    memoized per call on (d, the primes of u up to the largest of the first d
-    bounds), the only primes that can divide those coordinates.  Coordinates
-    are taken in ascending order of bound, so the largest are peeled first and
-    the keys below them stay short.  The base is one vectorized Möbius sum,
+    in which only the primes of u up to the largest of the first d bounds can
+    divide those coordinates.  The recurrence is linear, so one forward pass,
+    peeling the largest bounds first to keep the prime sets short, carries
+    each set with its number of ways down to d = 2, and lists every set under
+    a budget before the base runs.  The base is one vectorized Möbius sum,
 
         P_2(u) = sum over squarefree e, (e, u) = 1, of mu(e) Phi_1(e) Phi_2(e),
         Phi_i(e) = #{x_i admissible : e | x_i, (x_i, u) = 1}
@@ -939,54 +940,36 @@ def _peel(bounds, u_primes, sides) -> int:
     top = tuple(p for p in u_primes if p <= B[-1])
     if len(B) == 1:
         return int(phi(0, top, coprime_mask(top, B[0]))[0])
-    if len(B) == 2:
-        return base(top)
 
-    rad = np.ones(B[-1] + 1, dtype=np.int64)
-    for p in tables.primes[: int(np.searchsorted(tables.primes, B[-1], side="right"))].tolist():
-        rad[p :: p] *= p
-    groups: dict[tuple, list] = {}
-
-    def radical_groups(i):
-        """(rho, #x_i with radical rho, the product and the tuple of rho's
-        primes up to B[i-1]) over the admissible x_i."""
-        key = (B[i], S[i], B[i - 1])
-        if key not in groups:
-            rho, cnt = np.unique(rad[_allowed_values(B[i], S[i])], return_counts=True)
-            out = groups[key] = []
-            for rv, c in zip(rho.tolist(), cnt.tolist()):
-                ps = tuple(p for p, _ in arith.factorize(rv, tables) if p <= B[i - 1])
-                out.append((rv, c, prod(ps), ps))
-        return groups[key]
-
-    memos: list[dict[int, int]] = [{} for _ in range(len(B) + 1)]
-    stored = 0
-
-    def rec(d: int, key: int, primes: tuple[int, ...]) -> int:
-        # primes: the primes of u up to B[d-1], key their product
-        nonlocal stored
-        if d == 2:
-            total = base(primes)
-        else:
-            cut = B[d - 2]
+    # level[key] = [the primes that can divide a lower coordinate, key their
+    # product; the ways to reach them], the root and every key under budget
+    level = {prod(top): [top, 1]}
+    stored = 1
+    for i in range(len(B) - 1, 1, -1):
+        cut = B[i - 1]
+        rad = np.ones(B[i] + 1, dtype=np.int64)
+        for p in tables.primes[tables.primes <= B[i]].tolist():
+            rad[p :: p] *= p
+        rho, cnt = np.unique(rad[_allowed_values(B[i], S[i])], return_counts=True)
+        groups = []  # (rho, #x_i of radical rho, product and tuple of rho's primes <= cut)
+        for rv, c in zip(rho.tolist(), cnt.tolist()):
+            ps = tuple(p for p, _ in arith.factorize(rv, tables) if p <= cut)
+            groups.append((rv, c, prod(ps), ps))
+        below: dict[int, list] = {}
+        for key, (primes, ways) in level.items():
             kp = tuple(p for p in primes if p <= cut)
             kk = prod(kp)
-            below = memos[d - 1]
-            total = 0
-            for rv, c, rk, rp in radical_groups(d - 1):
+            for rv, c, rk, rp in groups:
                 if gcd(key, rv) == 1:
-                    nk = kk * rk
-                    v = below.get(nk)
-                    if v is None:
-                        v = rec(d - 1, nk, kp + rp)
-                    total += c * v
-        if stored >= _TOTH_MEMO_MAX:
-            raise CapacityError("recursive counter memo budget exceeded")
-        memos[d][key] = total
-        stored += 1
-        return total
-
-    return rec(len(B), prod(top), top)
+                    entry = below.get(kk * rk)
+                    if entry is None:
+                        if stored >= _TOTH_MEMO_MAX:
+                            raise CapacityError(f"the peeling counter passes {_TOTH_MEMO_MAX} keys")
+                        stored += 1
+                        entry = below[kk * rk] = [kp + rp, 0]
+                    entry[1] += ways * c
+        level = below
+    return sum(ways * base(primes) for primes, ways in level.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behavior: output schemas, exit codes, campaign files."""
 
 import json
+import shlex
 import subprocess
 import sys
 import time
@@ -451,6 +452,38 @@ def test_verify_montecarlo_row_past_int64_exits_four(tmp_path, capsys, n):
     assert "capacity" in err and "Traceback" not in err
 
 
+_GOOD_ROW = "[first]\nclass = mutual\nr = 2\nn = 64\ntolerance = 0.02\n"
+
+
+@pytest.mark.parametrize(
+    "flags, second_row",
+    (
+        (("--samples", "99"), None),
+        (("--confidence", "1.5"), None),
+        (("--confidence", "0"), None),
+        (("--tolerance", "-1"), None),
+        (("--tolerance", "inf"), None),
+        (("--tolerance", "nan"), None),
+        (("-n", "0"), None),
+        ((), "samples = 50\nmethod = montecarlo\n"),
+        ((), "confidence = 1\nmethod = montecarlo\n"),
+        ((), "tolerance = -0.5\n"),
+        ((), "n = 0\n"),
+    ),
+)
+def test_verify_checks_every_row_before_the_first_runs(tmp_path, capsys, flags, second_row):
+    # a bad value in any row exits 2 before any row is printed
+    if second_row is None:
+        argv = ("verify", "--suite", "paper", *flags)
+    else:
+        campaign = tmp_path / "bad.ini"
+        campaign.write_text(_GOOD_ROW + "[second]\nclass = pairwise\nr = 3\n" + second_row)
+        argv = ("verify", str(campaign))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "invalid" in err and "Traceback" not in err
+
+
 def test_verify_empty_campaign(tmp_path, capsys):
     campaign = tmp_path / "empty.ini"
     campaign.write_text("")
@@ -675,3 +708,26 @@ def test_stdout_matches_golden_file(argv, golden, child_env):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (DATA / golden).read_bytes()
+
+
+# -- README ---------------------------------------------------------------------
+
+
+def _readme_examples() -> list:
+    """(command, the lines shown under it) for each ``$ coprime-lab ...``
+    example in README's command-line section."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *shown = chunk.split("\n")
+        examples.append(pytest.param(command, "".join(line + "\n" for line in shown), id=command))
+    return examples
+
+
+@pytest.mark.parametrize("command, shown", _readme_examples())
+def test_readme_examples_print_what_readme_shows(capsys, command, shown):
+    assert command.startswith("$ coprime-lab ")
+    code, out, _ = run_cli(capsys, *shlex.split(command)[2:])
+    assert code == 0 and out == shown

@@ -1026,6 +1026,31 @@ def test_toth_memo_budget_refuses(monkeypatch):
         count_toth((30, 30, 30))
 
 
+def test_toth_memo_budget_refuses_before_the_base_runs(monkeypatch):
+    # with a side on both base coordinates every base call takes signed subset
+    # products; the peeled x = 2 (mod 5) has 6 radicals, so the top and its 6
+    # keys fit a budget of 7, and a budget of 6 is refused with no base call
+    sides = (Residue(2, 1), CoprimeTo(3), Residue(5, 2))
+    calls = []
+    real = counting.arith.signed_subset_products
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    box = Box(bounds=(30, 30, 30), n=30)
+    want = count_box_bruteforce(box, TupleConstraint.pairwise(3, sides)).count
+    monkeypatch.setattr(counting.arith, "signed_subset_products", spy)
+    monkeypatch.setattr(counting, "_TOTH_MEMO_MAX", 7)
+    assert count_toth((30, 30, 30), sides=sides).count == want
+    assert calls
+    calls.clear()
+    monkeypatch.setattr(counting, "_TOTH_MEMO_MAX", 6)
+    with pytest.raises(CapacityError):
+        count_toth((30, 30, 30), sides=sides)
+    assert calls == []
+
+
 def test_toth_with_sides_equals_bruteforce_randomized():
     rng = random.Random(20261018)
     caps = {2: 60, 3: 30, 4: 14, 5: 8}
