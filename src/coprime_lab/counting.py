@@ -36,8 +36,10 @@ Three counting routes, all integer-exact:
 * the recursive pairwise counter (``count_toth``) — peels one coordinate per
   level in a forward pass, grouping its admissible values by radical and
   carrying the ways to reach each set of accumulated coprimality primes that
-  can still divide a remaining coordinate, down to a vectorized two-coordinate
-  Möbius sum over the same side-condition tables N_i.  ``count_box`` sends
+  can still divide a remaining coordinate, down to a two-coordinate Möbius
+  sum that runs once over every set, in blocks of rows of a coprimality
+  mask: a row-wise prefix sum, or a per-divisor sum over the admissible
+  multiples for a coordinate with a side condition.  ``count_box`` sends
   pairwise-type classes (subset size 2) with r >= 3, at most
   ``ENGINE_MAX_SUBSETS`` subsets and bounds up to ``TOTH_BOUND_CAP`` here and
   everything else to ``count_mobius``.
@@ -57,7 +59,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from math import ceil, comb, gcd, isqrt, lcm, prod
 
 import numpy as np
@@ -853,16 +855,17 @@ def count_toth(bounds: tuple[int, ...], u: int = 1, sides=None) -> CountResult:
     divide those coordinates.  The recurrence is linear, so one forward pass,
     peeling the largest bounds first to keep the prime sets short, carries
     each set with its number of ways down to d = 2, and lists every set under
-    a budget before the base runs.  The base is one vectorized Möbius sum,
+    a budget before the base runs.  The base is a Möbius sum,
 
         P_2(u) = sum over squarefree e, (e, u) = 1, of mu(e) Phi_1(e) Phi_2(e),
-        Phi_i(e) = #{x_i admissible : e | x_i, (x_i, u) = 1}
-                 = sum over d | u of mu(d) N_i(d e),
+        Phi_i(e) = #{x_i admissible : e | x_i, (x_i, u) = 1},
 
-    with N_i the side-condition counts of ``count_mobius``; without a side,
-    Phi_i(e) is the number of y <= B_i // e coprime to u, read from one prefix
-    sum of the coprimality mask.  The cost grows with the number of distinct
-    prime sets the peeled coordinates can accumulate, so steeply with r.
+    run once over all sets, a block of rows at a time: each row is the mask of
+    the values coprime to one set.  Without a side, Phi_i(e) is the number of
+    y <= B_i // e coprime to u, read from the row's prefix sum; with one, the
+    row is summed over the admissible multiples of each e.  The cost grows
+    with the number of distinct prime sets the peeled coordinates can
+    accumulate, so steeply with r.
 
     A result without sides is tagged with the pairwise class (with the side
     ``CoprimeTo(u)`` on every coordinate when u > 1); with sides it carries no
@@ -899,47 +902,7 @@ def _peel(bounds, u_primes, sides) -> int:
     B = [bounds[i] for i in order]
     S = [sides[i] for i in order]
     tables = shared_tables(B[-1])
-    counts = [_side_counts(b, side) for b, side in zip(B[:2], S[:2])]
-
-    sq = tables.squarefree_up_to(B[0])
-    mu_sq = tables.mobius[sq].astype(np.int64)
-    quotients = [b // sq for b in B[:2]]
-
-    def coprime_mask(primes, size):
-        """Boolean mask over [0, size]: 1 <= x and no prime of u divides x."""
-        keep = np.ones(size + 1, dtype=bool)
-        keep[0] = False
-        for p in primes:
-            keep[p :: p] = False
-        return keep
-
-    def phi(i, primes, keep):
-        """Phi_i at every squarefree e <= B[0] (the base uses only those
-        coprime to u), keep being ``coprime_mask`` to at least B[i]."""
-        if S[i] is None:
-            # sum over d | u of mu(d) (B_i // (d e)) counts y <= B_i // e coprime
-            # to u: one prefix sum instead of the divisor sum below, which made
-            # cold cubes 2x slower at r=3 (n=10**4) and 5x at r=4 (n=1024)
-            return np.cumsum(keep[: B[i] + 1], dtype=np.int32)[quotients[i]]
-        pairs = arith.signed_subset_products(primes, B[i])
-        ends = np.searchsorted(sq, [B[i] // d for d, _ in pairs], side="right").tolist()
-        out = np.zeros(len(sq), dtype=np.int64)
-        for (d, mu_d), k in zip(pairs, ends):
-            out[:k] += mu_d * counts[i](d * sq[:k])
-        return out
-
-    def base(primes) -> int:
-        keep = coprime_mask(primes, B[1])
-        phi0 = phi(0, primes, keep)
-        # equal bound and side give equal Phi; reusing it saves about a third
-        # of a cold cube's time at r=3 (n=10**4) and r=4 (n=1024)
-        phi1 = phi0 if (B[1], S[1]) == (B[0], S[0]) else phi(1, primes, keep)
-        # |Phi_i| <= B_i <= TOTH_BOUND_CAP, so the dot product fits in int64
-        return int(np.dot(mu_sq * keep[sq] * phi0, phi1))
-
     top = tuple(p for p in u_primes if p <= B[-1])
-    if len(B) == 1:
-        return int(phi(0, top, coprime_mask(top, B[0]))[0])
 
     # level[key] = [the primes that can divide a lower coordinate, key their
     # product; the ways to reach them], the root and every key under budget
@@ -969,7 +932,73 @@ def _peel(bounds, u_primes, sides) -> int:
                         entry = below[kk * rk] = [kp + rp, 0]
                     entry[1] += ways * c
         level = below
-    return sum(ways * base(primes) for primes, ways in level.values())
+    return _peel_base(B[:2], S[:2], level.values(), tables)
+
+
+def _peel_base(B, S, keys, tables) -> int:
+    """The sum of ways * P_2(primes) over the (primes, ways) in ``keys``, P_2
+    on the two smallest bounds ``B`` with sides ``S`` (P_1, the e = 1 term,
+    for one bound).
+
+    The keys go in blocks of rows.  A block is a (keys x (B[-1] + 1)) mask of
+    the values coprime to each key, cleared by one strided assignment per
+    prime of each key.  Phi_i at every squarefree e <= B[0] is then, without a
+    side, one row-wise prefix sum of the mask gathered at B_i // e; with one,
+    the mask gathered at the admissible multiples e m <= B_i and summed per e
+    by one ``np.add.reduceat``.  Both count the x_i that e divides among
+    those coprime to the key, which is Phi_i(e) when e is coprime to the key
+    too; the mask at e drops the other e from the sum.
+    """
+    sq = tables.squarefree_up_to(B[0] if len(B) > 1 else 1)
+    same = len(B) > 1 and (B[1], S[1]) == (B[0], S[0])
+    # equal bound and side give equal Phi; reusing it saves about a third of a
+    # cold cube's time at r=3 (n=10**4) and r=4 (n=1024)
+    coords = range(1 if same else len(B))
+    live = np.ones(len(sq), dtype=bool)
+    multiples = {}  # coordinate with a side: (index of e, e m) for each admissible e m
+    for i in coords:
+        if S[i] is not None:
+            per_e = B[i] // sq
+            e_of = np.repeat(np.arange(len(sq)), per_e)
+            at = sq[e_of] * (np.arange(len(e_of)) - (np.cumsum(per_e) - per_e)[e_of] + 1)
+            ok = _admissible(B[i], S[i])[at]
+            multiples[i] = (e_of[ok], at[ok])
+            # Phi_i(e) = 0 for every key where the side admits no multiple of e
+            live &= np.bincount(e_of[ok], minlength=len(sq)) > 0
+    gathers = {}  # coordinate with a side: its admissible e m of live e, where each e starts
+    for i, (e_of, at) in multiples.items():
+        counts = np.bincount(e_of, minlength=len(sq))[live]
+        gathers[i] = (at[live[e_of]], np.cumsum(counts) - counts)
+    sq = sq[live]
+    mu_sq = tables.mobius[sq].astype(np.int64)
+    quotients = [b // sq for b in B]
+    width = max([B[-1] + 1] + [len(at) for at, _ in gathers.values()])
+    step = max(1, _ROW_SLICE >> 10, _ROW_SLICE // width)  # _ROW_SLICE cells, at least 8 rows
+    total = 0
+    keys = iter(keys)
+    while block := list(islice(keys, step)):
+        keep = np.ones((len(block), B[-1] + 1), dtype=bool)
+        keep[:, 0] = False
+        for j, (primes, _) in enumerate(block):
+            for p in primes:
+                keep[j, p::p] = False
+        if len(gathers) < len(coords):
+            prefix = np.cumsum(keep, axis=1, dtype=np.int32)
+        phis = [
+            np.add.reduceat(keep[:, gathers[i][0]], gathers[i][1], axis=1, dtype=np.int32)
+            if i in gathers
+            else np.take(prefix, quotients[i], axis=1)
+            for i in coords
+        ]
+        if same:
+            phis.append(phis[0])
+        # |Phi_i(e)| <= B_i // e, so a row sums to at most zeta(2) B_0 B_1 < 2**63
+        terms = mu_sq * np.take(keep, sq, axis=1)
+        for phi in phis[1:]:
+            terms *= phi
+        values = np.vecdot(terms, phis[0]).tolist()
+        total += sum(ways * v for (_, ways), v in zip(block, values))
+    return total
 
 
 # ---------------------------------------------------------------------------

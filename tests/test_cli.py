@@ -1,13 +1,18 @@
 """Command-line behavior: output schemas, exit codes, campaign files."""
 
+import contextlib
+import io
 import json
 import shlex
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 DATA = Path(__file__).parent / "data"
 FAIL_FIXTURE = str(DATA / "failing-campaign.ini")
@@ -731,3 +736,88 @@ def test_readme_examples_print_what_readme_shows(capsys, command, shown):
     assert command.startswith("$ coprime-lab ")
     code, out, _ = run_cli(capsys, *shlex.split(command)[2:])
     assert code == 0 and out == shown
+
+
+# -- argv fuzzing -------------------------------------------------------------
+
+
+def _mostly(valid, invalid):
+    """``valid``, but one time in ten ``invalid``."""
+    return st.integers(0, 9).flatmap(lambda i: invalid if i == 9 else valid)
+
+
+@st.composite
+def _cli_argv(draw) -> list[str]:
+    """argv for ``count``, ``constant`` or ``discrepancy`` at n <= 60 and r <= 6.
+    Each part is valid but one time in ten: a number out of range, a list of
+    the wrong length, a malformed entry, two sides on one coordinate."""
+
+    def listed(entries: list[str]) -> str:
+        cut = draw(_mostly(st.just(len(entries)), st.integers(0, len(entries) + 1)))
+        return ",".join((entries + entries[:1])[:cut])
+
+    n = _mostly(st.integers(0, 60), st.integers(-2, -1)).map(str)
+    command = draw(st.sampled_from(("count", "constant", "discrepancy")))
+    if command == "discrepancy" and draw(st.integers(0, 3)) == 0:
+        kind = draw(st.sampled_from(("gcd", "lcm")))
+        step = draw(_mostly(st.integers(1, 70), st.integers(-1, 0)))
+        return [command, "--measure", kind, "-n", draw(n), "--step", str(step)]
+    r = draw(_mostly(st.integers(2, 6), st.integers(0, 1)))
+    cls = draw(st.sampled_from(("mutual", "pairwise", "kwise")))
+    argv = [command, "--class", cls, "-r", str(r)]
+    if cls == "kwise" or draw(st.integers(0, 9)) == 9:
+        argv += ["-k", str(draw(_mostly(st.integers(2, max(r, 2)), st.integers(-1, 7))))]
+    modulus = _mostly(st.integers(1, 12), st.integers(-1, 0))
+    sides = {
+        "--coprime-to": ("1", modulus.map(str)),
+        "--divisible": ("1", modulus.map(str)),
+        "--residue": (
+            "1:0",
+            modulus.flatmap(
+                lambda m: _mostly(st.integers(0, max(m - 1, 0)), st.integers(-1, 13)).map(
+                    f"{m}:{{}}".format
+                )
+            ),
+        ),
+    }
+    kinds = draw(st.lists(st.sampled_from((None, *sides)), min_size=r, max_size=r))
+    for flag, (none, entry) in sides.items():
+        clash = draw(st.integers(0, 9)) == 9
+        if flag in kinds or clash:
+            argv += [flag, listed([draw(entry) if k == flag or clash else none for k in kinds])]
+    if command == "count":
+        method = draw(st.sampled_from(("auto", "mobius", "bruteforce", "toth")))
+        argv += ["-n", draw(n), "--method", method]
+        if draw(st.booleans()):
+            alpha = _mostly(
+                st.sampled_from(("1", "1/2", "2/3", "0", "0.25")),
+                st.sampled_from(("3/2", "-1", "1/0", "x")),
+            )
+            argv += ["--alpha", listed(draw(st.lists(alpha, min_size=r, max_size=r)))]
+    elif command == "constant":
+        if draw(st.booleans()):
+            argv += ["--cutoff", str(draw(_mostly(st.integers(2, 10**6), st.integers(-2, 1))))]
+    elif draw(st.booleans()):
+        argv += ["-n", draw(n)]
+    else:
+        argv += ["--scan", ",".join(draw(st.lists(n, min_size=1, max_size=4)))]
+    if draw(st.booleans()):
+        argv += ["--format", "csv"]
+    return argv
+
+
+@settings(max_examples=50, deadline=timedelta(seconds=60), derandomize=True)
+@given(_cli_argv())
+def test_generated_argv_answer_or_refuse_without_traceback(argv):
+    # in-process, one example at a time; argparse's own refusals are SystemExit(2).
+    # The deadline sits above what the caps admit: the grid cap lets a
+    # pairwise r = 5 discrepancy scan at n = 60 run about 20 s.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    assert (code == 0) == bool(out.getvalue()), (argv, code, out.getvalue())

@@ -439,9 +439,10 @@ def test_side_tables_are_shared_read_only():
 
     engines = {
         "mutual": (lambda b, c: count_mobius(b, c).count,),
+        # the peeling counter reads no side table; count_mobius sweeps last
         "pairwise": (
-            lambda b, c: count_mobius(b, c).count,
             lambda b, c: count_toth(b.bounds, sides=c.sides).count,
+            lambda b, c: count_mobius(b, c).count,
         ),
     }
     for kind, fns in engines.items():
@@ -1027,12 +1028,11 @@ def test_toth_memo_budget_refuses(monkeypatch):
 
 
 def test_toth_memo_budget_refuses_before_the_base_runs(monkeypatch):
-    # with a side on both base coordinates every base call takes signed subset
-    # products; the peeled x = 2 (mod 5) has 6 radicals, so the top and its 6
-    # keys fit a budget of 7, and a budget of 6 is refused with no base call
+    # the peeled x = 2 (mod 5) has 6 radicals, so the top and its 6 keys fit
+    # a budget of 7, and a budget of 6 is refused with no base call
     sides = (Residue(2, 1), CoprimeTo(3), Residue(5, 2))
     calls = []
-    real = counting.arith.signed_subset_products
+    real = counting._peel_base
 
     def spy(*args):
         calls.append(args)
@@ -1040,7 +1040,7 @@ def test_toth_memo_budget_refuses_before_the_base_runs(monkeypatch):
 
     box = Box(bounds=(30, 30, 30), n=30)
     want = count_box_bruteforce(box, TupleConstraint.pairwise(3, sides)).count
-    monkeypatch.setattr(counting.arith, "signed_subset_products", spy)
+    monkeypatch.setattr(counting, "_peel_base", spy)
     monkeypatch.setattr(counting, "_TOTH_MEMO_MAX", 7)
     assert count_toth((30, 30, 30), sides=sides).count == want
     assert calls
@@ -1049,6 +1049,32 @@ def test_toth_memo_budget_refuses_before_the_base_runs(monkeypatch):
     with pytest.raises(CapacityError):
         count_toth((30, 30, 30), sides=sides)
     assert calls == []
+
+
+def test_toth_base_in_blocks_of_one_or_a_few_keys(monkeypatch):
+    # a base block holds _ROW_SLICE mask cells: 1 gives one key a block, 64
+    # and 256 a few, so the keys of every level meet block edges.  Appending
+    # the coordinate x = u (bound u, divisible by u) turns "pairwise coprime
+    # and coprime to u" into a pairwise class that brute force counts.
+    rng = random.Random(20261020)
+    caps = {1: 60, 2: 60, 3: 30, 4: 14, 5: 8}
+    for trial in range(90):
+        monkeypatch.setattr(counting, "_ROW_SLICE", rng.choice((1, 64, 256)))
+        r = trial % 5 + 1
+        n = caps[r]
+        u = rng.choice((1, 6, 7, 30))
+        if trial % 3 == 0:
+            # equal bounds and sides on the base coordinates: Phi_1 reused
+            bounds = [rng.randint(1, n)] * r
+            sides = [rng.choice(SIDE_POOLS)] * r
+        else:
+            bounds = [0 if rng.random() < 0.1 else rng.randint(1, n) for _ in range(r)]
+            sides = [rng.choice(SIDE_POOLS) if trial % 3 == 1 else None for _ in range(r)]
+        box = Box(bounds=(*bounds, u), n=max(n, u))
+        c = TupleConstraint.pairwise(r + 1, (*sides, DivisibleBy(u) if u > 1 else None))
+        want = count_box_bruteforce(box, c).count
+        got = count_toth(tuple(bounds), u, tuple(sides))
+        assert got.count == want, (trial, bounds, u, sides)
 
 
 def test_toth_with_sides_equals_bruteforce_randomized():
