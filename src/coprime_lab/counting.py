@@ -45,16 +45,17 @@ Three counting routes, all integer-exact:
   everything else to ``count_mobius``.
 
 The quotient-set kernel sums f(d) prod_i w(B_i // d) over the O(sqrt(B)) runs
-of d with constant quotients, taking F = sum f at the run ends from a sieve to
-about B^(2/3) and the Deléglise-Rivat recursion, so bounds up to 10**10 need no
-full sieve.  f = mu with w = id is the mutual count, f = phi with w = id the
-gcd-weighted sum, and f = J with w(q) = q(q+1)/2 the lcm-weighted sum.  Also
-here: divisibility patterns.
+of d with constant quotients.  F = sum f comes as arrays at the sorted points
+B // k and k <= sqrt(B), from a sieve to about B^(2/3) and the Deléglise-Rivat
+recursion, so bounds up to 10**10 need no full sieve; the runs are then summed
+in a few numpy calls, in int64 where a bound on each term allows and in Python
+integers otherwise.  f = mu with w = id is the mutual count, f = phi with
+w = id the gcd-weighted sum, and f = J with w(q) = q(q+1)/2 the lcm-weighted
+sum, whose boxes on one grid share one F.  Also here: divisibility patterns.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +82,7 @@ BRUTE_VOLUME_CAP = 25_000_000_000
 # the brute-force work cap, in units of one gcd of the pairwise kernel: 55-70
 # ns on 2 vCPUs, so 30-35 s (a 2e4 x 2e4 x 2 box, 4e8 gcds, took 28 s)
 BRUTE_CELL_CAP = 500_000_000
-MUTUAL_BOUND_CAP = 10**10  # cold there, 2 vCPUs: r=2 count 1.5 s, gcd sum 4.5 s, lcm sum 9 s
+MUTUAL_BOUND_CAP = 10**10  # cold there, 2 vCPUs: r=2 count 0.9 s, gcd sum 2.4 s, lcm sum 5.6 s
 ENGINE_MAX_SUBSETS = 128
 
 
@@ -694,60 +695,105 @@ def _prefix(kind: str, size: int) -> np.ndarray:
     return F
 
 
+def _quotient_points(bounds) -> np.ndarray:
+    """The sorted int64 union, over B in ``bounds``, of B // k and k for
+    1 <= k <= isqrt(B): every nonzero value of B // d, d >= 1.  So the points
+    up to min(bounds) hold every end of a run of d on which each B // d is
+    constant."""
+    parts = [np.arange(1, isqrt(max(bounds)) + 1, dtype=np.int64)]
+    parts += [b // np.arange(1, isqrt(b) + 1, dtype=np.int64) for b in bounds]
+    xs = np.sort(np.concatenate(parts))
+    new = np.ones(len(xs), dtype=bool)
+    np.not_equal(xs[1:], xs[:-1], out=new[1:])
+    return xs[new]  # not np.unique, which imports numpy.ma
+
+
 def _summatory(bounds, kind: str):
-    """F(x) = sum_{m <= x} f(m), f = ``kind``, as a callable on every x = B // k
-    with B in ``bounds``, which may be at most MUTUAL_BOUND_CAP.
+    """F(x) = sum_{m <= x} f(m), f = ``kind``, at the points x of
+    ``_quotient_points(bounds)``, with bounds at most MUTUAL_BOUND_CAP, as the
+    arrays (xs, values): values in int64 when every |F(x)| < 2**62, so that
+    differences of F fit too, and in Python integers otherwise.
 
     Values up to the limit y of one sieve table, y >= max(bounds)**(2/3), are
     ``_prefix`` entries.  Each larger x (at most B // y of them per B) takes,
     in increasing order, F(x) = H(x) - sum_{k >= 2} g(k) F(x // k): the k
     with x // k = q <= s = isqrt(x) in one dot product of F(q) with their
-    weights G(x // q) - G(x // (q + 1)), the other k one by one, from the
-    table or from the larger x already found (Deléglise & Rivat, Exp. Math. 5,
-    1996)."""
+    weights G(x // q) - G(x // (q + 1)), the other k with x // k <= y in one
+    dot product of table entries, and the k <= x // (y + 1), whose x // k are
+    larger points found before x, in one gather and dot (Deléglise & Rivat,
+    Exp. Math. 5, 1996)."""
     if max(bounds) > MUTUAL_BOUND_CAP:
         raise CapacityError(f"bound {max(bounds)} exceeds the cap {MUTUAL_BOUND_CAP}")
     _, G, H = _CONVOLUTIONS[kind]
     y = shared_tables(ceil(max(bounds) ** (2 / 3))).limit
     small = _prefix(kind, y)
-    points = set()
-    for b in bounds:
-        k = np.arange(1, isqrt(b) + 1, dtype=np.int64)
-        points.update((b // k).tolist(), k.tolist())
-    xs = sorted(points)
-    cut = bisect_right(xs, y)
-    memo = dict(zip(xs[:cut], small[xs[:cut]].tolist()))
-    peak = 6 * max(int(small.max()), -int(small.min()))
-    for x in xs[cut:]:
+    xs = _quotient_points(bounds)
+    cut = int(np.searchsorted(xs, y, side="right"))
+    large = xs[cut:]
+    found = np.empty(len(large), dtype=object)
+    top = max(int(small.max()), -int(small.min()))
+    for i, x in enumerate(large.tolist()):
         s = isqrt(x)
         big = x // (y + 1)
         ends = x // np.arange(1, s + 2, dtype=np.int64)
         k = np.arange(big, x // (s + 1) + 1, dtype=np.int64)
         Fq, Fk = small[1 : s + 1], small[x // k[1:]]
         # the weights sum to at most G(x), and G's own products stay below
-        # 6 G(x): int64 holds every partial sum when peak * G(x) < 2**63
-        if peak * G(x) >= 2**63:
+        # 6 G(x): int64 holds every partial sum when 6 top G(x) < 2**63
+        if 6 * top * G(x) >= 2**63:
             ends, k, Fq, Fk = (a.astype(object) for a in (ends, k, Fq, Fk))
         Ge, Gk = G(ends), G(k)
         total = int(np.dot(Fq, Ge[:-1] - Ge[1:])) + int(np.dot(Fk, Gk[1:] - Gk[:-1]))
-        total += sum((G(j) - G(j - 1)) * memo[x // j] for j in range(2, big + 1))
-        memo[x] = H(x) - total
-    return memo.__getitem__
+        if big > 1:
+            j = np.arange(1, big + 1, dtype=np.int64)
+            Gj = G(j)
+            total += np.dot(found[np.searchsorted(large, x // j[1:])], Gj[1:] - Gj[:-1])
+        found[i] = H(x) - total
+    fits = top < 2**62 and all(-(2**62) < v < 2**62 for v in found)
+    dtype = np.int64 if fits else object
+    return xs, np.concatenate([small[xs[:cut]].astype(dtype), found.astype(dtype)])
 
 
 def _run_sum(bounds, F, w=None) -> int:
-    """sum_d f(d) prod_i w(B_i // d) in Python integers (w = None: the identity),
-    one term per run of d on which every B_i // d is constant, with F the
-    running sum of f at every B_i // k, such as ``_summatory`` of the bounds."""
-    total = prev = 0
-    d, last = 1, min(bounds)
-    while d <= last:
-        quotients = [b // d for b in bounds]
-        d = min([b // q for b, q in zip(bounds, quotients)]) + 1
-        now = F(d - 1)
-        total += (now - prev) * prod(quotients if w is None else map(w, quotients))
-        prev = now
-    return total
+    """sum_{d <= min(bounds)} f(d) prod_i w(B_i // d) (w = None: the identity),
+    with F = (xs, values) the running sum of f at sorted points that hold the
+    bounds' quotient points, such as ``_summatory`` of the bounds or of more
+    bounds.  Each run (e', e] of d on which every B_i // d is constant gives
+    one term (F(e) - F(e')) prod_i w(B_i // e), all of them in a few numpy
+    calls: in int64 where a float64 bound on the term, inflated for rounding,
+    is under 2**62 / runs, so that no product or partial sum overflows, and in
+    Python integers otherwise.  When a bound on every term already is, the
+    per-run bounds are skipped."""
+    if min(bounds) == 0:
+        return 0
+    xs, values = F
+    ends = _quotient_points(bounds)
+    ends = ends[: np.searchsorted(ends, min(bounds), side="right")]
+    Fe = values[np.searchsorted(xs, ends)]
+    dF = Fe.copy()
+    dF[1:] -= Fe[:-1]
+    qs = [b // ends for b in bounds]
+    w = w or (lambda q: q)
+    limit = 2**62 // len(ends)
+
+    def terms(runs, dtype) -> int:
+        acc = dF[runs].astype(dtype)
+        for q in qs:
+            acc *= w(q[runs].astype(dtype))
+        return int(acc.sum())
+
+    # a term's bound max(1, |F(e) - F(e')|) prod_i w(B_i // e) holds every
+    # partial product, as w(q) >= 1, and w's own q (q + 1) is twice w(q)
+    if dF.dtype != object and max(1, int(np.abs(dF).max())) * prod(map(w, bounds)) < limit:
+        return terms(slice(None), np.int64)
+    size = np.maximum(np.abs(dF.astype(float)), 1)
+    with np.errstate(over="ignore"):  # an infinite bound goes to Python ints
+        for q in qs:
+            size *= w(q.astype(float))
+    # 2r + 1 roundings in the bound and two in the test, each off by at most
+    # 2**-53 of the value
+    fits = size * (1 + (len(bounds) + 1) * 2.0**-51) < limit
+    return terms(fits, np.int64) + terms(~fits, object)
 
 
 _ROW_SLICE = 1 << 13
@@ -779,8 +825,8 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
     if one_subset and all(s is None for s in constraint.sides):
         count = _run_sum(box.bounds, _summatory(box.bounds, "mu"))
         return CountResult(count=count, constraint=constraint, box=box, method=METHOD_MOBIUS)
-    counts = [_side_counts(b, side) for b, side in zip(box.bounds, constraint.sides)]
-    volume = box.volume()
+    # the sieve or the Möbius table refuses a bound past its cap before any
+    # side table is filled
     if one_subset:
         tables = shared_tables(max(box.bounds))
         sq = tables.squarefree_up_to(min(box.bounds))
@@ -791,7 +837,8 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
         A, W, wmax = _mobius_table(box.bounds, constraint.effective_k)
         if len(W) > _MOBIUS_ROWS_MAX:  # a table built under a larger budget
             raise CapacityError(f"the Möbius table passes {_MOBIUS_ROWS_MAX} rows")
-    dtype = _row_dtype(volume, wmax)
+    counts = [_side_counts(b, side) for b, side in zip(box.bounds, constraint.sides)]
+    dtype = _row_dtype(box.volume(), wmax)
     total = 0
     for lo in range(0, len(W), _ROW_SLICE):
         rows = slice(lo, lo + _ROW_SLICE)
@@ -1068,7 +1115,7 @@ def weighted_sum_gcd(n: int, alpha) -> int:
     """Exact sum of gcd(x, y) over x <= A = floor(n a), y <= B = floor(n b),
     A and B up to MUTUAL_BOUND_CAP: gcd(x, y) sums phi over the common
     divisors, so this is sum_e phi(e) floor(A/e) floor(B/e)."""
-    return _pair_sum(n, alpha, "gcd", "phi", None)
+    return weighted_sums("gcd", n, [alpha])[0]
 
 
 def weighted_sum_lcm(n: int, alpha) -> int:
@@ -1076,11 +1123,20 @@ def weighted_sum_lcm(n: int, alpha) -> int:
     A and B up to MUTUAL_BOUND_CAP: grouped by the gcd it is
     sum_m J(m) T(floor(A/m)) T(floor(B/m)), T(q) = q(q+1)/2 and
     J(m) = m prod_{p | m} (1 - p)."""
-    return _pair_sum(n, alpha, "lcm", "J", _triangle)
+    return weighted_sums("lcm", n, [alpha])[0]
 
 
-def _pair_sum(n: int, alpha, name: str, kind: str, w) -> int:
-    box = Box.from_alpha(n, alpha)
-    if box.r != 2:
+# the weighted sum -> (f, w): sum_d f(d) w(A // d) w(B // d)
+_WEIGHTED = {"gcd": ("phi", None), "lcm": ("J", _triangle)}
+
+
+def weighted_sums(name: str, n: int, alphas) -> list[int]:
+    """The gcd- or lcm-weighted sum (``name``) over each box
+    ``Box.from_alpha(n, alpha)``, alpha in ``alphas``, every one of them run
+    on one summatory over all their bounds."""
+    boxes = [Box.from_alpha(n, alpha) for alpha in alphas]
+    if any(box.r != 2 for box in boxes):
         raise ValueError(f"{name}-weighted sums are defined for 2-dimensional boxes")
-    return _run_sum(box.bounds, _summatory(box.bounds, kind), w)
+    kind, w = _WEIGHTED[name]
+    F = _summatory(sorted({b for box in boxes for b in box.bounds}), kind)
+    return [_run_sum(box.bounds, F, w) for box in boxes]

@@ -42,8 +42,8 @@ from .constraints import TupleConstraint
 from .errors import CapacityError
 
 GRID_CELL_CAP = 10**9
-# measure_cdf_error makes step**2 weighted sums: at this cap 1024 of them,
-# 0.11 s at n = 64 and 0.23 s at n = 1024 for the gcd measure on 2 vCPUs
+# measure_cdf_error makes step**2 + 1 weighted sums on one summatory: at this
+# cap 1025 of them, 0.04 s at n = 64 and at n = 1024 on 2 vCPUs
 MEASURE_STEP_CAP = 32
 _SLAB_CELLS = 1 << 18
 
@@ -318,9 +318,10 @@ def measure_cdf_error(kind: str, n: int, grid_step: int) -> float:
     kind "gcd": S is the gcd-weighted sum, limit a*b.
     kind "lcm": S is the lcm-weighted sum, limit (a*b)^2.
     Evaluated exactly in rationals before the final float conversion.
-    ``grid_step`` may be at most ``MEASURE_STEP_CAP``, and the step**2 + 1
-    sums, each costing about n**(2/3), may do at most the work of two sums
-    at ``counting.MUTUAL_BOUND_CAP``.
+    The step**2 + 1 sums run on one summatory over their bounds
+    floor(n i / step).  ``grid_step`` may be at most ``MEASURE_STEP_CAP``,
+    and the sums, each counted at about n**(2/3), may do at most the work of
+    two sums at ``counting.MUTUAL_BOUND_CAP``.
     """
     if kind not in ("gcd", "lcm"):
         raise ValueError(f"kind must be 'gcd' or 'lcm', got {kind!r}")
@@ -334,15 +335,13 @@ def measure_cdf_error(kind: str, n: int, grid_step: int) -> float:
             f"{grid_step**2 + 1} weighted sums at n = {n} exceed the work of two "
             f"sums at the cap {counting.MUTUAL_BOUND_CAP}"
         )
-    fn = counting.weighted_sum_gcd if kind == "gcd" else counting.weighted_sum_lcm
-    base = fn(n, (1, 1))
+    steps = [Fraction(i, grid_step) for i in range(1, grid_step + 1)]
+    grid = [(a, b) for a in steps for b in steps]
+    base, *sums = counting.weighted_sums(kind, n, [(1, 1), *grid])
     worst = Fraction(0)
-    for i in range(1, grid_step + 1):
-        a = Fraction(i, grid_step)
-        for j in range(1, grid_step + 1):
-            b = Fraction(j, grid_step)
-            limit = a * b if kind == "gcd" else (a * b) ** 2
-            err = abs(Fraction(fn(n, (a, b)), base) - limit)
-            if err > worst:
-                worst = err
+    for (a, b), S in zip(grid, sums):
+        limit = a * b if kind == "gcd" else (a * b) ** 2
+        err = abs(Fraction(S, base) - limit)
+        if err > worst:
+            worst = err
     return float(worst)

@@ -702,6 +702,26 @@ def test_closed_stdout_exits_one_without_traceback(child_env):
     assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
+def test_cli_counts_and_sums_never_import_numpy_ma(child_env):
+    # numpy.ma, which np.unique imports, costs 8-13 ms in a cold process
+    script = """
+import sys
+from coprime_lab import cli
+for argv in (
+    "count --class mutual -r 3 -n 3000000",
+    "count --class pairwise -r 3 -n 300",
+    "discrepancy --measure lcm -n 1024 --step 8",
+):
+    assert cli.main(argv.split()) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [(["verify", "--suite", "paper"], "verify-paper.jsonl"), (["calibrate"], "calibrate.json")],

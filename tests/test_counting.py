@@ -38,6 +38,7 @@ from coprime_lab.counting import (
 from coprime_lab.errors import CapacityError, UnsupportedError
 
 from closed_forms import euler_phi, mobius_of
+from run_sum_reference import run_sum
 
 
 def oracle_count(box: Box, constraint: TupleConstraint) -> int:
@@ -894,6 +895,13 @@ def _python_sieves(limit: int) -> tuple[list[int], list[int]]:
     return phi.tolist(), J.tolist()
 
 
+def _at_points(F):
+    """A running sum (xs, values), as ``_summatory`` gives it, as a callable
+    on its points."""
+    xs, values = F
+    return dict(zip(xs.tolist(), values.tolist())).__getitem__
+
+
 def test_summatory_matches_python_sieves():
     limit = 1 << 22
     for kind, f in zip(("phi", "J"), _python_sieves(limit)):
@@ -905,7 +913,7 @@ def test_summatory_matches_python_sieves():
         assert table.tolist() == F, kind
         # every quotient point, most of them past the table of their bounds
         for bounds in ((limit,), (4_000_000, 2_999_999), (10**6, 7)):
-            S = counting._summatory(bounds, kind)
+            S = _at_points(counting._summatory(bounds, kind))
             for b in bounds:
                 for x in {b // k for k in range(1, isqrt(b) + 1)} | set(range(1, isqrt(b) + 1)):
                     assert S(x) == F[x], (kind, bounds, x)
@@ -930,7 +938,7 @@ def test_prefix_falls_back_to_python_ints(monkeypatch):
 
 def test_mertens_matches_published_values():
     # OEIS A084237: M(10**k) for k = 0..8
-    M = counting._summatory((10**8,), "mu")
+    M = _at_points(counting._summatory((10**8,), "mu"))
     want = (1, -1, 1, 2, -23, -48, 212, 1037, 1928)
     assert tuple(M(10**k) for k in range(9)) == want
 
@@ -945,6 +953,72 @@ def test_mutual_route_refuses_over_cap_before_sieving(monkeypatch):
         with pytest.raises(CapacityError):
             weighted_sum(n, (1, 1))
     assert built == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("mu", "phi", "J")),
+    st.sampled_from((None, counting._triangle)),
+    st.lists(st.integers(0, 40) | st.integers(0, 3 * 10**6), min_size=1, max_size=4),
+    st.lists(st.integers(1, 3 * 10**6), max_size=2),
+)
+def test_run_sum_matches_the_per_run_reference(kind, w, bounds, more):
+    # F may come from more bounds than the sum's own: its points hold theirs
+    F = counting._summatory(bounds + more, kind)
+    assert counting._run_sum(bounds, F, w) == run_sum(bounds, _at_points(F), w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 10**5), min_size=1, max_size=4),
+    st.sampled_from((None, counting._triangle)),
+    st.sampled_from((2**20, 2**61, 2**70)),
+    st.integers(0, 2**32 - 1),
+)
+def test_run_sum_matches_the_per_run_reference_on_any_values(bounds, w, spread, seed):
+    # values of every size at the points, not only running sums of mu, phi or
+    # J: int64 under 2**62 in absolute value, as _summatory keeps them, and
+    # Python ints past it
+    xs = counting._quotient_points(bounds)
+    rng = random.Random(seed)
+    values = [rng.randint(-spread, spread) for _ in xs.tolist()]
+    F = (xs, np.array(values, dtype=np.int64 if spread < 2**62 else object))
+    assert counting._run_sum(bounds, F, w) == run_sum(bounds, _at_points(F), w)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        # mutual r = 3: the run d = 1 alone is (3e6)**3 > 2**63, summed in
+        # Python ints, and the runs past the first few dozen d fit in int64
+        (3_000_000,) * 3,
+        # past 2**62: no bound on the whole sum admits int64
+        (3_000_000, 1_700_000, 1_699_999),
+        (2_100_000, 2_100_000, 2_100_000, 5),
+        (60_000,) * 4,
+    ],
+)
+def test_run_sum_past_int64_matches_the_per_run_reference(bounds):
+    assert prod(bounds) > 2**62
+    for kind, w in (("mu", None), ("phi", None), ("J", counting._triangle)):
+        F = counting._summatory(bounds, kind)
+        assert counting._run_sum(bounds, F, w) == run_sum(bounds, _at_points(F), w), kind
+
+
+def test_sided_count_refuses_over_cap_before_side_tables(monkeypatch):
+    # the spy raises, so a side table filled first fails the test at once
+    # instead of taking 800 MB
+    def spy(*args):
+        raise AssertionError(f"side table filled for {args}")
+
+    monkeypatch.setattr(counting, "_admissible", spy)
+    n = 2 * counting.arith.TABLE_LIMIT_MAX
+    for c in (
+        TupleConstraint.mutual(2, (CoprimeTo(6), None)),
+        TupleConstraint.pairwise(3, (None, DivisibleBy(2), None)),
+    ):
+        with pytest.raises(CapacityError):
+            count_mobius(Box.cube(n, c.r), c)
 
 
 def test_shared_tables_never_round_past_the_table_cap(monkeypatch):
