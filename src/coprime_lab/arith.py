@@ -35,8 +35,9 @@ class ArithTables:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """Ascending int64 array of the primes ``<= limit``, by a bool sieve of
-    Eratosthenes (one byte per integer), for ``limit`` in ``[2, 10**8]``."""
+    """Read-only ascending int64 array of the primes ``<= limit``, by a bool
+    sieve of Eratosthenes (one byte per integer), for ``limit`` in
+    ``[2, 10**8]``."""
     if not isinstance(limit, int) or limit < 2:
         raise ValueError(f"limit must be an integer >= 2, got {limit!r}")
     if limit > TABLE_LIMIT_MAX:
@@ -46,14 +47,17 @@ def primes_up_to(limit: int) -> np.ndarray:
     for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    primes = np.flatnonzero(sieve).astype(np.int64)
+    primes.flags.writeable = False
+    return primes
 
 
 def build_tables(limit: int) -> ArithTables:
     """Sieve smallest prime factors and Moebius values up to ``limit``.
 
     ``limit`` must lie in ``[2, 10**8]``; the upper cap exists because the
-    tables are dense arrays (spf alone is 4 bytes per entry).
+    tables are dense arrays (spf alone is 4 bytes per entry).  The arrays are
+    read-only: one table serves every caller while the store keeps it.
     """
     primes = primes_up_to(limit)
     s = isqrt(limit)
@@ -73,7 +77,7 @@ def build_tables(limit: int) -> ArithTables:
     spf[big] = big
     for j in range(1, limit // (s + 1) + 1):
         mobius[big[: int(np.searchsorted(big, limit // j, side="right"))] * j] *= -1
-
+    spf.flags.writeable = mobius.flags.writeable = False
     return ArithTables(limit=limit, spf=spf, mobius=mobius, primes=primes)
 
 

@@ -29,13 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import arith
 from .constraints import MAX_R, CoprimeTo, Residue, TupleConstraint
 from .errors import CapacityError
+from .store import kept
 
 DEFAULT_PRIME_CUTOFF = 10**6
 # array length of one chunk of zeta terms, and of the primes whose Euler
@@ -151,7 +151,7 @@ def _zeta_terms(r: int):
             yield np.array([1.0 / (v**r) for v in m.tolist()])
 
 
-@lru_cache(maxsize=None)
+@kept
 def zeta(r: int) -> Interval:
     """Enclosure of zeta(r) for 2 <= r <= 64, width well under 1e-12.
 
@@ -178,7 +178,7 @@ def zeta_reciprocal(r: int) -> Interval:
     return zeta(r).reciprocal()
 
 
-@lru_cache(maxsize=8)
+@kept
 def _primes_up_to(cutoff: int) -> np.ndarray:
     return arith.primes_up_to(cutoff)
 
@@ -261,7 +261,7 @@ def _euler_factors(primes: np.ndarray, r: int, k: int) -> tuple[np.ndarray, int]
     return y, len(fallback)
 
 
-@lru_cache(maxsize=None)
+@kept
 def kwise_constant(r: int, k: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> Interval:
     """Enclosure of prod_p P(Binomial(r, 1/p) <= k-1), the k-wise density.
 

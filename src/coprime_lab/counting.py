@@ -21,7 +21,8 @@ Three counting routes, all integer-exact:
   condition.  Without a side condition N_i(L) = B_i // L; with one, N_i is a
   table over L <= B_i summed from the admissible values, so every side kind
   is counted from its definition.  The table is filled once per (bound, side)
-  while it is kept: the last 64 tables with bounds up to 2**17, at most 32 MB.
+  while the ``store`` keeps it, under the one byte budget that it shares with
+  the sieve, Möbius and prefix tables.
   When one subset covers every coordinate (mutual, or k-wise with k = r)
   every L_i is one d, and without side conditions the count is
   sum_d mu(d) prod_i (B_i // d), one case of the quotient-set kernel below.
@@ -59,7 +60,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, combinations, islice
 from math import ceil, comb, gcd, isqrt, lcm, prod
 
@@ -77,6 +78,7 @@ from .constraints import (
     TupleConstraint,
 )
 from .errors import CapacityError, UnsupportedError
+from .store import kept
 
 BRUTE_VOLUME_CAP = 25_000_000_000
 # the brute-force work cap, in units of one gcd of the pairwise kernel: 55-70
@@ -97,7 +99,7 @@ def shared_tables(limit: int) -> arith.ArithTables:
     return _tables_of_size(size if size <= arith.TABLE_LIMIT_MAX else limit)
 
 
-@lru_cache(maxsize=3)
+@kept
 def _tables_of_size(size: int) -> arith.ArithTables:
     return arith.build_tables(size)
 
@@ -192,7 +194,6 @@ def _multiples_of(col: np.ndarray, p: int) -> np.ndarray:
     return col.view(np.uint64) * inverse <= np.uint64(((1 << 64) - 1) // p)
 
 
-@lru_cache(maxsize=64)
 def _pair_cover(r: int, k: int) -> tuple:
     """The k-subsets of range(r), grouped as (pair, rests): each subset is a
     pair plus a rest.  The coordinates fall into k - 1 consecutive groups of
@@ -240,30 +241,22 @@ def _side_counts(bound: int, side):
     """N(L) = #{x <= bound : L | x, x meets the side} for 1 <= L <= bound.
 
     Returns N as a callable on an int or an integer array of L values: bound // L
-    without a side condition, else a lookup in the ``_side_table`` of
-    (bound, side).  Tables for bounds up to ``_SIDE_TABLE_BOUND_MAX`` are kept,
-    the last ``_SIDE_TABLES_MAX`` of them, so a sweep over the sides of one box
-    fills each table once; larger bounds fill a table per call.
+    without a side condition, else a lookup in the kept ``_side_table`` of
+    (bound, side), so a sweep over the sides of one box fills each table once.
     """
     if side is None:
         return lambda L: bound // L
-    fill = _side_table if bound <= _SIDE_TABLE_BOUND_MAX else _side_table.__wrapped__
-    return partial(np.take, fill(bound, side))  # a third faster than indexing
+    return partial(np.take, _side_table(bound, side))  # a third faster than indexing
 
 
-# at most 64 int32 tables of 2**17 + 1 entries: 32 MB kept
-_SIDE_TABLE_BOUND_MAX = 1 << 17
-_SIDE_TABLES_MAX = 64
-
-
-@lru_cache(maxsize=_SIDE_TABLES_MAX)
+@kept
 def _side_table(bound: int, side) -> np.ndarray:
     """The read-only int32 table of N(L), 0 <= L <= bound, for ``_side_counts``,
-    filled from the admissible values with a sqrt split: a strided count for
-    each L <= s = isqrt(bound), then for each multiplier m <= bound // (s + 1)
-    a strided add of the admissibility of m * L to every L in (s, bound // m].
-    That is O(bound log bound) element work in about 2 sqrt(bound) numpy
-    calls, whatever the modulus.
+    kept in the store, filled from the admissible values with a sqrt split: a
+    strided count for each L <= s = isqrt(bound), then for each multiplier
+    m <= bound // (s + 1) a strided add of the admissibility of m * L to every
+    L in (s, bound // m].  That is O(bound log bound) element work in about
+    2 sqrt(bound) numpy calls, whatever the modulus.
     """
     admissible = _admissible(bound, side)
     s = isqrt(bound)
@@ -552,14 +545,14 @@ _MOBIUS_ROWS_MAX = 2_000_000  # pairwise r = 7, n = 20 is refused in 0.9 s, unde
 _MOBIUS_BATCH = 1 << 16  # rows made at once: a batch of frontier nodes, a slice of the table
 
 
-@lru_cache(maxsize=2)
+@kept
 def _mobius_table(bounds: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The rows (L, c(L)) of count = sum_L c(L) prod_i N_i(L_i) for the class
     whose constrained subsets are all k-subsets of the coordinates, as an
     (r, rows) int32 matrix of L values and an int64 coefficient vector, both
-    read-only, and the largest |c(L)|.  The last two tables are kept, so the
-    side-condition variants of one box shape replay a table instead of
-    searching again.
+    read-only, and the largest |c(L)|.  The store keeps the table, so the
+    side-condition variants of one box shape replay it instead of searching
+    again.
 
     c(L) sums prod_S mu(d_S) over the assignments of squarefree d_S with lcm
     vector L, so it is a product over primes p of ``_pattern_coefficient`` of
@@ -665,7 +658,7 @@ _CONVOLUTIONS = {
 }
 
 
-@lru_cache(maxsize=3)
+@kept
 def _prefix(kind: str, size: int) -> np.ndarray:
     """F(x) = sum_{m <= x} f(m) for 0 <= x <= size, read-only, f sieved on
     ``shared_tables(size)``: int64 where the slice totals, summed in Python

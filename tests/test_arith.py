@@ -192,6 +192,19 @@ def test_build_tables_against_trial_division():
             assert np.array_equal(t.primes, primes)
 
 
+def test_sieve_tables_are_read_only(tables):
+    # one kept table serves every caller, so a write would change later counts
+    for name, array in (
+        ("spf", tables.spf),
+        ("mobius", tables.mobius),
+        ("primes", tables.primes),
+        ("primes_up_to", arith.primes_up_to(1000)),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            array[2] = 0
+        assert int(array[2]) != 0, name
+
+
 def test_mertens_at_one_million():
     # M(10**6) = 212 (OEIS A084237)
     assert int(arith.build_tables(10**6).mobius.sum(dtype=np.int64)) == 212

@@ -6,6 +6,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from datetime import timedelta
 from pathlib import Path
@@ -766,32 +767,31 @@ def _mostly(valid, invalid):
     return st.integers(0, 9).flatmap(lambda i: invalid if i == 9 else valid)
 
 
+def _listed(draw, entries: list[str]) -> str:
+    """``entries`` joined by commas, but one time in ten one too few or too many."""
+    cut = draw(_mostly(st.just(len(entries)), st.integers(0, len(entries) + 1)))
+    return ",".join((entries + entries[:1])[:cut])
+
+
+_SCALE = _mostly(st.integers(0, 60), st.integers(-2, -1)).map(str)
+
+
 @st.composite
-def _cli_argv(draw) -> list[str]:
-    """argv for ``count``, ``constant`` or ``discrepancy`` at n <= 60 and r <= 6.
-    Each part is valid but one time in ten: a number out of range, a list of
-    the wrong length, a malformed entry, two sides on one coordinate."""
-
-    def listed(entries: list[str]) -> str:
-        cut = draw(_mostly(st.just(len(entries)), st.integers(0, len(entries) + 1)))
-        return ",".join((entries + entries[:1])[:cut])
-
-    n = _mostly(st.integers(0, 60), st.integers(-2, -1)).map(str)
-    command = draw(st.sampled_from(("count", "constant", "discrepancy")))
-    if command == "discrepancy" and draw(st.integers(0, 3)) == 0:
-        kind = draw(st.sampled_from(("gcd", "lcm")))
-        step = draw(_mostly(st.integers(1, 70), st.integers(-1, 0)))
-        return [command, "--measure", kind, "-n", draw(n), "--step", str(step)]
+def _class_and_sides(draw) -> list[tuple[str, str]]:
+    """A class, r <= 6, maybe k, and per-coordinate sides, as (campaign key,
+    value) pairs; a command takes each key as its flag.  Each part is valid
+    but one time in ten: a number out of range, a list of the wrong length, a
+    malformed entry, two sides on one coordinate."""
     r = draw(_mostly(st.integers(2, 6), st.integers(0, 1)))
     cls = draw(st.sampled_from(("mutual", "pairwise", "kwise")))
-    argv = [command, "--class", cls, "-r", str(r)]
+    pairs = [("class", cls), ("r", str(r))]
     if cls == "kwise" or draw(st.integers(0, 9)) == 9:
-        argv += ["-k", str(draw(_mostly(st.integers(2, max(r, 2)), st.integers(-1, 7))))]
+        pairs.append(("k", str(draw(_mostly(st.integers(2, max(r, 2)), st.integers(-1, 7))))))
     modulus = _mostly(st.integers(1, 12), st.integers(-1, 0))
     sides = {
-        "--coprime-to": ("1", modulus.map(str)),
-        "--divisible": ("1", modulus.map(str)),
-        "--residue": (
+        "coprime-to": ("1", modulus.map(str)),
+        "divisible": ("1", modulus.map(str)),
+        "residue": (
             "1:0",
             modulus.flatmap(
                 lambda m: _mostly(st.integers(0, max(m - 1, 0)), st.integers(-1, 13)).map(
@@ -801,43 +801,110 @@ def _cli_argv(draw) -> list[str]:
         ),
     }
     kinds = draw(st.lists(st.sampled_from((None, *sides)), min_size=r, max_size=r))
-    for flag, (none, entry) in sides.items():
+    for key, (none, entry) in sides.items():
         clash = draw(st.integers(0, 9)) == 9
-        if flag in kinds or clash:
-            argv += [flag, listed([draw(entry) if k == flag or clash else none for k in kinds])]
+        if key in kinds or clash:
+            entries = [draw(entry) if k == key or clash else none for k in kinds]
+            pairs.append((key, _listed(draw, entries)))
+    return pairs
+
+
+@st.composite
+def _verify_flags(draw, campaign: bool) -> list[tuple[str, str]]:
+    """The Monte Carlo and tolerance settings of ``verify``, as (campaign key,
+    value) pairs, each valid but one time in ten: n <= 0, a negative,
+    infinite or NaN tolerance, fewer than 100 samples, a confidence outside
+    (0, 1).  ``--suite`` rows always get n and samples, so that none takes
+    long; a campaign row may be exact or Monte Carlo."""
+    pairs = [("n", draw(_SCALE))]
+    if campaign:
+        pairs.append(("method", draw(st.sampled_from(("exact", "montecarlo")))))
+    pairs.append(("samples", str(draw(_mostly(st.integers(100, 1000), st.integers(0, 99))))))
+    options = {
+        "tolerance": _mostly(
+            st.floats(0, 1).map(repr), st.sampled_from(("-0.01", "inf", "-inf", "nan"))
+        ),
+        "seed": st.integers(-(2**40), 2**40).map(str),
+        "confidence": _mostly(
+            st.floats(0, 1, exclude_min=True, exclude_max=True).map(repr),
+            st.sampled_from(("0", "1", "1.5", "-0.5", "nan")),
+        ),
+    }
+    for key, value in options.items():
+        if draw(st.booleans()):
+            pairs.append((key, draw(value)))
+    return pairs
+
+
+@st.composite
+def _cli_argv(draw) -> tuple[list[str], str | None]:
+    """argv for ``count``, ``constant``, ``discrepancy`` or ``verify`` at
+    n <= 60 and r <= 6, and the campaign file's text where ``verify`` reads
+    one (its path goes after the command).  Each part is valid but one time
+    in ten, as ``_class_and_sides`` and ``_verify_flags`` draw them."""
+
+    def flags(pairs):
+        return [arg for key, value in pairs for arg in ("-" * min(len(key), 2) + key, value)]
+
+    command = draw(st.sampled_from(("count", "constant", "discrepancy", "verify")))
+    campaign = None
+    if command == "verify":
+        if draw(st.booleans()):
+            argv = [command, "--suite", "paper", *flags(draw(_verify_flags(False)))]
+        else:
+            pairs = draw(_class_and_sides()) + draw(_verify_flags(True))
+            campaign = "[row]\n" + "".join(f"{key} = {value}\n" for key, value in pairs)
+            argv = [command]
+        if draw(st.booleans()):
+            argv += ["--format", "csv"]
+        return argv, campaign
+    if command == "discrepancy" and draw(st.integers(0, 3)) == 0:
+        kind = draw(st.sampled_from(("gcd", "lcm")))
+        step = draw(_mostly(st.integers(1, 70), st.integers(-1, 0)))
+        return [command, "--measure", kind, "-n", draw(_SCALE), "--step", str(step)], None
+    pairs = draw(_class_and_sides())
+    r = int(dict(pairs)["r"])
+    argv = [command, *flags(pairs)]
     if command == "count":
         method = draw(st.sampled_from(("auto", "mobius", "bruteforce", "toth")))
-        argv += ["-n", draw(n), "--method", method]
+        argv += ["-n", draw(_SCALE), "--method", method]
         if draw(st.booleans()):
             alpha = _mostly(
                 st.sampled_from(("1", "1/2", "2/3", "0", "0.25")),
                 st.sampled_from(("3/2", "-1", "1/0", "x")),
             )
-            argv += ["--alpha", listed(draw(st.lists(alpha, min_size=r, max_size=r)))]
+            argv += ["--alpha", _listed(draw, draw(st.lists(alpha, min_size=r, max_size=r)))]
     elif command == "constant":
         if draw(st.booleans()):
             argv += ["--cutoff", str(draw(_mostly(st.integers(2, 10**6), st.integers(-2, 1))))]
     elif draw(st.booleans()):
-        argv += ["-n", draw(n)]
+        argv += ["-n", draw(_SCALE)]
     else:
-        argv += ["--scan", ",".join(draw(st.lists(n, min_size=1, max_size=4)))]
+        argv += ["--scan", ",".join(draw(st.lists(_SCALE, min_size=1, max_size=4)))]
     if draw(st.booleans()):
         argv += ["--format", "csv"]
-    return argv
+    return argv, None
 
 
 @settings(max_examples=50, deadline=timedelta(seconds=60), derandomize=True)
 @given(_cli_argv())
-def test_generated_argv_answer_or_refuse_without_traceback(argv):
+def test_generated_argv_answer_or_refuse_without_traceback(case):
     # in-process, one example at a time; argparse's own refusals are SystemExit(2).
     # The deadline sits above what the caps admit: the grid cap lets a
     # pairwise r = 5 discrepancy scan at n = 60 run about 20 s.
+    argv, campaign = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2, 3, 4), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
-    assert (code == 0) == bool(out.getvalue()), (argv, code, out.getvalue())
+    with tempfile.TemporaryDirectory() as tmp:
+        if campaign is not None:
+            path = Path(tmp) / "row.ini"
+            path.write_text(campaign, encoding="utf-8")
+            argv = [argv[0], str(path), *argv[1:]]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3, 4), (argv, campaign, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, campaign)
+    # a FAIL row exits 1 after it is printed
+    assert (code in (0, 1)) == bool(out.getvalue()), (argv, campaign, code, out.getvalue())

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprime_lab import counting
+from coprime_lab import counting, store
 from coprime_lab.constants import density
 from coprime_lab.constraints import (
     Box,
@@ -368,17 +368,17 @@ def _mobius_rows_by_definition(bounds, k) -> list[tuple[tuple[int, ...], int]]:
 def test_mobius_table_rows_equal_their_definition(monkeypatch, batch):
     # batches of about 3 rows cut every frontier and every slice of the table
     monkeypatch.setattr(counting, "_MOBIUS_BATCH", batch)
-    counting._mobius_table.cache_clear()
     rng = random.Random(17)
-    for r in range(2, 5):
-        for k in range(2, r + 1):
-            shapes = [(10,) * r, (1,) + (10,) * (r - 1)]
-            shapes += [tuple(rng.randint(1, 10) for _ in range(r)) for _ in range(3)]
-            for bounds in shapes:
-                A, W, wmax = counting._mobius_table(bounds, k)
-                rows = sorted(zip(map(tuple, A.T.tolist()), W.tolist()))
-                assert rows == _mobius_rows_by_definition(bounds, k), (bounds, k)
-                assert wmax == max(abs(c) for _, c in rows)
+    with store.fresh():
+        for r in range(2, 5):
+            for k in range(2, r + 1):
+                shapes = [(10,) * r, (1,) + (10,) * (r - 1)]
+                shapes += [tuple(rng.randint(1, 10) for _ in range(r)) for _ in range(3)]
+                for bounds in shapes:
+                    A, W, wmax = counting._mobius_table(bounds, k)
+                    rows = sorted(zip(map(tuple, A.T.tolist()), W.tolist()))
+                    assert rows == _mobius_rows_by_definition(bounds, k), (bounds, k)
+                    assert wmax == max(abs(c) for _, c in rows)
 
 
 def test_row_dtype_scales_with_the_largest_coefficient():
@@ -403,15 +403,23 @@ def test_mobius_row_budget_refuses(monkeypatch):
         count_mobius(box, c)  # the cached table is refused as a new one is
 
 
-def test_mobius_tables_are_replayed_read_only():
+def _spy(monkeypatch, module, name) -> list:
+    """Record the arguments of every call of ``module.name``, which still runs."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_mobius_tables_are_replayed_read_only(monkeypatch):
     box = Box.cube(24, 4)
-    counting._mobius_table.cache_clear()
-    for sides in ((), (CoprimeTo(6),) * 4, (DivisibleBy(2), None, Residue(3, 1), None)):
-        c = TupleConstraint.pairwise(4, sides)
-        assert count_mobius(box, c).count == count_box_bruteforce(box, c).count
-    info = counting._mobius_table.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    A, W, _ = counting._mobius_table(box.bounds, 2)
+    lookups = _spy(monkeypatch, counting, "_mobius_table")
+    builds = _spy(monkeypatch, counting, "shared_tables")  # called once per build
+    with store.fresh():
+        for sides in ((), (CoprimeTo(6),) * 4, (DivisibleBy(2), None, Residue(3, 1), None)):
+            c = TupleConstraint.pairwise(4, sides)
+            assert count_mobius(box, c).count == count_box_bruteforce(box, c).count
+        assert (len(builds), len(lookups)) == (1, 3)  # one build, two replays
+        A, W, _ = counting._mobius_table(box.bounds, 2)
     assert not A.flags.writeable and not W.flags.writeable
 
 
@@ -425,17 +433,24 @@ def _residue_sweep(moduli=(2, 3, 5)) -> list[tuple]:
     return sweep + [tuple(make(m) for m in moduli) for make in (CoprimeTo, DivisibleBy)]
 
 
+def _side_tables(kept: store.Store) -> dict:
+    """The side tables in a store, by (bound, side)."""
+    fill = counting._side_table.__wrapped__
+    return {key[1]: value for key, (value, _, _) in kept.entries.items() if key[0] is fill}
+
+
 def test_side_tables_are_shared_read_only():
     box = Box(bounds=(30, 24, 20), n=30)
-    counting._side_table.cache_clear()
 
     def sweep(kind, engine, cold):
         out = []
         for sides in _residue_sweep():
-            if cold:
-                counting._side_table.cache_clear()
             c = getattr(TupleConstraint, kind)(3, sides)
-            out.append(engine(box, c))
+            if cold:
+                with store.fresh():
+                    out.append(engine(box, c))
+            else:
+                out.append(engine(box, c))
         return out
 
     engines = {
@@ -446,47 +461,69 @@ def test_side_tables_are_shared_read_only():
             lambda b, c: count_mobius(b, c).count,
         ),
     }
-    for kind, fns in engines.items():
-        want = sweep(kind, lambda b, c: count_box_bruteforce(b, c).count, False)
-        for fn in fns:
-            assert sweep(kind, fn, True) == want, kind
-            assert sweep(kind, fn, False) == want, kind  # the kept tables
-    info = counting._side_table.cache_info()
-    assert info.hits > 0 and info.currsize <= 2 + 3 + 5 + 2 * 3  # distinct (bound, side)
-    table = counting._side_table(24, Residue(3, 1))
+    with store.fresh() as kept:
+        for kind, fns in engines.items():
+            want = sweep(kind, lambda b, c: count_box_bruteforce(b, c).count, False)
+            for fn in fns:
+                assert sweep(kind, fn, True) == want, kind
+                assert sweep(kind, fn, False) == want, kind  # fills the kept tables
+                tables = _side_tables(kept)
+                assert sweep(kind, fn, False) == want, kind  # and replays them
+                replayed = _side_tables(kept)
+                assert replayed.keys() == tables.keys(), kind
+                assert all(replayed[key] is table for key, table in tables.items()), kind
+        assert 0 < len(tables) <= 2 + 3 + 5 + 2 * 3  # distinct (bound, side)
+        table = counting._side_table(24, Residue(3, 1))
     with pytest.raises(ValueError):
         table[1] = 0
-    # a bound past the caching limit fills a table per call and keeps none
-    kept = counting._side_table.cache_info().currsize
-    big = counting._SIDE_TABLE_BOUND_MAX + 1
+    big = (1 << 17) + 1
     N = counting._side_counts(big, CoprimeTo(6))
     assert N(1) == counting._value_count(big, CoprimeTo(6))
-    assert counting._side_table.cache_info().currsize == kept
 
 
-def test_kept_side_tables_stay_under_their_memory_ceiling():
-    bound = counting._SIDE_TABLE_BOUND_MAX
-    counting._side_table.cache_clear()
-    tracemalloc.start()
-    try:
-        for m in range(2, counting._SIDE_TABLES_MAX + 8):
-            counting._side_counts(bound, DivisibleBy(m))
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert counting._side_table.cache_info().currsize == counting._SIDE_TABLES_MAX
-    assert kept <= 33 * 2**20, kept  # 64 tables of 2**17 + 1 int32 entries: 32 MB
-    counting._side_table.cache_clear()
+def test_kept_tables_stay_under_one_budget_across_kinds(monkeypatch):
+    budget = 1 << 20
+    monkeypatch.setattr(store, "BUDGET_BYTES", budget)
+    sieve = counting._tables_of_size.__wrapped__
+    side = counting._side_table.__wrapped__
+    with store.fresh() as kept:
+
+        def check():
+            sizes = [size for _, size, _ in kept.entries.values()]
+            assert kept.kept_bytes == sum(sizes) <= budget, sizes
+
+        counting.shared_tables(40_000)  # the 2**16 sieve, 380,021 bytes
+        check()
+        counting._side_counts(60_000, CoprimeTo(6))  # 240,004 bytes
+        check()
+        counting._mobius_table((20,) * 4, 2)  # the 2**11 sieve, then the table
+        check()
+        assert len(kept.entries) == 4
+        counting.shared_tables(40_000)  # now the side table is the oldest in use
+        # the 2**15 sieve fits; its prefix sums (262,152 bytes) do once the side
+        # table goes, and the sieve used before it stays
+        counting._prefix("mu", 1 << 15)
+        check()
+        assert (side, (60_000, CoprimeTo(6))) not in kept.entries
+        assert (sieve, (1 << 16,)) in kept.entries and len(kept.entries) == 5
+        assert (counting._prefix.__wrapped__, ("mu", 1 << 15)) in kept.entries
+        # the 2**18 sieve passes the whole budget: handed out, kept nowhere
+        before = list(kept.entries)
+        tables = counting.shared_tables(200_000)
+        assert tables.limit == 1 << 18 and counting.shared_tables(200_000) is not tables
+        assert list(kept.entries) == before
+        check()
 
 
-def test_residue_sweep_fills_each_side_table_once():
+def test_residue_sweep_fills_each_side_table_once(monkeypatch):
     # 30 residue tuples mod (2, 3, 5) on one cube share 2 + 3 + 5 side tables;
     # filling them per call would take 90
     box = Box.cube(1008, 3)
-    counting._side_table.cache_clear()
-    for sides in _residue_sweep()[:30]:
-        count_mobius(box, TupleConstraint.pairwise(3, sides))
-    assert counting._side_table.cache_info().misses == 10
+    fills = _spy(monkeypatch, counting, "_admissible")
+    with store.fresh():
+        for sides in _residue_sweep()[:30]:
+            count_mobius(box, TupleConstraint.pairwise(3, sides))
+    assert len(fills) == 10
 
 
 def test_count_mutual_mobius_with_sides_matches_brute_up_to_128():
@@ -929,11 +966,9 @@ def test_prefix_falls_back_to_python_ints(monkeypatch):
             rad[p::p] = [v * p for v in rad[p::p]]
     want = list(accumulate(m * rad[m] ** 3 for m in range(size + 1)))
     assert want[-1] > 2**63
-    try:
+    with store.fresh():
         F = counting._prefix("quartic", size)
-        assert F.dtype == object and F.tolist() == want
-    finally:
-        counting._prefix.cache_clear()
+    assert F.dtype == object and F.tolist() == want
 
 
 def test_mertens_matches_published_values():
@@ -1026,13 +1061,10 @@ def test_shared_tables_never_round_past_the_table_cap(monkeypatch):
     monkeypatch.setattr(
         counting.arith, "build_tables", lambda limit: built.append(limit) or limit
     )
-    counting._tables_of_size.cache_clear()
-    try:
+    with store.fresh():
         assert counting.shared_tables(70_000_000) == 70_000_000
         assert counting.shared_tables(60_000_000) == 1 << 26
-        assert built == [70_000_000, 1 << 26]
-    finally:
-        counting._tables_of_size.cache_clear()
+    assert built == [70_000_000, 1 << 26]
     monkeypatch.undo()
     with pytest.raises(CapacityError, match="100000001"):
         counting.shared_tables(10**8 + 1)
@@ -1044,8 +1076,8 @@ def test_shared_tables_cache_by_rounded_size(monkeypatch):
     monkeypatch.setattr(
         counting.arith, "build_tables", lambda limit: built.append(limit) or build(limit)
     )
-    counting._tables_of_size.cache_clear()
-    assert counting.shared_tables(49_000) is counting.shared_tables(60_000)
+    with store.fresh():
+        assert counting.shared_tables(49_000) is counting.shared_tables(60_000)
     assert built == [1 << 16]
 
 
