@@ -60,7 +60,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, combinations, islice
 from math import ceil, comb, gcd, isqrt, lcm, prod
 
@@ -81,8 +81,8 @@ from .errors import CapacityError, UnsupportedError
 from .store import kept
 
 BRUTE_VOLUME_CAP = 25_000_000_000
-# the brute-force work cap, in units of one gcd of the pairwise kernel: 55-70
-# ns on 2 vCPUs, so 30-35 s (a 2e4 x 2e4 x 2 box, 4e8 gcds, took 28 s)
+# the brute-force work cap, in units of one gcd of the pairwise kernel: 58-64
+# ns on 2 vCPUs, so 30-35 s (a 2e4 x 2e4 x 2 box, 4e8 gcds, took 26 s)
 BRUTE_CELL_CAP = 500_000_000
 MUTUAL_BOUND_CAP = 10**10  # cold there, 2 vCPUs: r=2 count 0.9 s, gcd sum 2.4 s, lcm sum 5.6 s
 ENGINE_MAX_SUBSETS = 128
@@ -312,16 +312,26 @@ def count_box_bruteforce(box: Box, constraint: TupleConstraint) -> CountResult:
 
 
 _BRUTE_BLOCK = 1 << 20  # gcd cells per numpy call: 8 MB of int64
-# brute-force time in units of one pairwise gcd, measured on 2 vCPUs: the
-# numpy calls of one choice of the fixed values, up to 32 us in
-# _brute_pairwise ((300, 30, 30, 30)) and 5-10 us per tail test in
-# _brute_kwise (10-40 us a choice on tails of one value); the k-wise gcds
-# take 10-20 ns, as one operand is a running gcd, mostly 1; and its bit cube
-# 0.5-1.2 ns a byte over three tests ((4, 3) cubes, n = 100..600)
-_CHOICE_UNITS = 500
-_TEST_UNITS = 150
-_KWISE_GCDS_PER_UNIT = 3
-_CUBE_BYTES_PER_UNIT = 32
+# brute-force time in units of one pairwise gcd, fitted on 2 vCPUs.  A
+# choice of the fixed values in _brute_pairwise: 0.3-12 us, most of it the
+# product of its masks ((10**5, 3, 3, 3) to (60,) * 5).  In _brute_kwise,
+# where no choice repeats another's test results: a test, 5-8 us of numpy
+# calls on small tails; a cell of a gcd grid, at most a gcd and a gather,
+# 3-4 ns; a byte of the cube or of a gathered index, about 0.1 ns.  At 60 ns
+# a unit, k-wise estimates against times without and with the repeats
+# looked up (min of 1-3 runs):
+#   (300,) * 4, k = 3         0.87 s   0.45-0.8 s   0.27 s
+#   (398,) * 4, k = 3         2.4 s    1.4 s        0.78 s
+#   (100,) * 5, k = 3         2.7 s    1.2 s        0.62 s
+#   (10**5, 5, 5, 5), k = 3   2.6 s    2.4 s        0.75 s
+#   (3000, 3000, 60, 60), 3   6.7 s    3.0 s        0.41 s
+#   (30, 30, 30, 500, 500), 3 16 s     11 s         4.0 s
+#   (20,) * 7, k = 4          19 s     6.5 s        2.9 s
+#   (60,) * 5, k = 4          4.0 s    0.16 s       0.06 s (few distinct gcds)
+_CHOICE_UNITS = 150
+_TEST_UNITS = 100
+_KWISE_GCDS_PER_UNIT = 16
+_CUBE_BYTES_PER_UNIT = 512
 
 
 def _value_count(bound: int, side) -> int:
@@ -345,9 +355,10 @@ def _brute_plan(counts: list[int], bounds, k: int):
     the first coordinate and at most its bound.  Pairwise: the three
     matrices, then per choice of the fixed values, one gcd with every value
     of the tails and of the fixed arrays still to come, plus the numpy calls
-    of each choice.  K-wise: at k = 3 the cube of the tail, then per choice
-    of the fixed values one test on each set of tail axes that a k-subset
-    can hold, plus the numpy calls of the tests and the bit cube.
+    of each choice.  K-wise: the gcd grids of the tail axes, once, then per
+    choice of the fixed values one test on each set of tail axes that a
+    k-subset can hold, at most a gcd per grid cell, plus the numpy calls of
+    the tests, their gathers and the passes over the bit cube.
     """
     r = len(counts)
     if k == r:
@@ -360,17 +371,27 @@ def _brute_plan(counts: list[int], bounds, k: int):
     *fixed, z, y, x = sorted(counts, reverse=True)
     choices = prod(fixed) if fixed else 0
     if k == 2:
+        # the masks of the two narrower tails are taken again for each block
+        # of the widest one's rows
+        blocks = -(-z // max(1, _BRUTE_BLOCK // y))
         gcds, prefixes = y * x + z * (y + x), 1
         for j, size in enumerate(fixed):
             prefixes *= size
-            gcds += prefixes * (z + y + x + sum(fixed[j + 1 :]))
+            gcds += prefixes * (z + blocks * (y + x + sum(fixed[j + 1 :])))
         return _brute_pairwise, gcds, gcds + _CHOICE_UNITS * choices
-    # the tail sizes j that a k-subset with a fixed coordinate can hold
+    # the tail sizes j that a k-subset with a fixed coordinate can hold.  The
+    # gcd grids of the tail axes are taken once; per choice a test on a grid
+    # takes at most a gcd per cell and gathers an int64 index per cell, z
+    # padded to whole words, and each test with z is a pass over the cube
     sizes = [j for j in (1, 2, 3) if 1 <= k - j <= len(fixed)]
-    per_size = {1: x + y + z, 2: 2 * x + y + x * y + x * z + y * z, 3: x + x * y + x * y * z}
-    gcds = (k == 3) * (x * y + x * y * z) + choices * sum(per_size[j] for j in sizes)
-    per_choice = _TEST_UNITS * (1 + sum(comb(3, j) for j in sizes)) + comb(r, k) * k
-    per_choice += x * y * (z + 7) // 8 // _CUBE_BYTES_PER_UNIT
+    zw, pairs = 64 * -(-z // 64), x * y + x * z + y * z
+    once = {1: 0, 2: pairs, 3: x * y + x * y * z}
+    each = {1: x + y + z, 2: pairs, 3: x * y * z}
+    cells = {1: x + y + zw, 2: x * y + (x + y) * zw, 3: x * y * zw}
+    gcds = (k == 3) * once[3] + sum(once[j] + choices * each[j] for j in sizes)
+    tests, masks = sum(comb(3, j) for j in sizes), sum(comb(2, j - 1) for j in sizes)
+    cube_bytes = (1 + masks) * x * y * zw // 8 + 8 * sum(cells[j] for j in sizes)
+    per_choice = _TEST_UNITS * (1 + tests) + comb(r, k) * k + cube_bytes // _CUBE_BYTES_PER_UNIT
     work = gcds // _KWISE_GCDS_PER_UNIT + choices * per_choice
     return partial(_brute_kwise, k=k), gcds, work
 
@@ -378,7 +399,7 @@ def _brute_plan(counts: list[int], bounds, k: int):
 def _row_blocks(n_rows: int, width: int, block: int):
     """Row slices of an n_rows x width array, at most ``block`` cells each."""
     step = max(1, block // max(1, width))
-    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 def _brute_mutual(vals, block: int = _BRUTE_BLOCK) -> int:
@@ -410,65 +431,136 @@ def _brute_pairwise(vals, block: int = _BRUTE_BLOCK) -> int:
     # to every fixed one.  With 0/1 matrices A = coprime(a, b),
     # B = coprime(b, c), C = coprime(a, c), each choice of the fixed ones adds
     # sum(C * (A @ B)) over the masked rows and columns; the rows of A and C
-    # come in blocks.  A row of C * (A @ B) sums to at most
-    # len(b) len(c) <= volume^(2/3) < 2^24, exact in float32, and the rows
-    # to at most the volume, exact in float64.
+    # come in blocks, and the choices with one mask are summed once.  A row
+    # of C * (A @ B) sums to at most len(b) len(c) <= volume^(2/3) < 2^24,
+    # exact in float32, and the rows to at most the volume, exact in float64.
+    # Where it takes fewer gcds than the three matrices, and at most 16 MB,
+    # every 0/1 entry is gathered from one table over the distinct values.
     *fixed, a, b, c = sorted(vals, key=len, reverse=True)
-    B = (np.gcd.outer(b, c) == 1).astype(np.float32)
+    union = np.unique(np.concatenate(vals))
+    cells = len(union) ** 2
+    if cells < len(a) * len(b) + len(c) * (len(a) + len(b)) and cells <= _BRUTE_BLOCK << 4:
+        table = np.empty((len(union), len(union)), dtype=bool)
+        for rows in _row_blocks(len(union), len(union), block):
+            table[rows, rows.start :] = np.gcd.outer(union[rows], union[rows.start :]) == 1
+            table[rows.start :, rows] = table[rows, rows.start :].T
+        *fixed, a, b, c = (np.searchsorted(union, v) for v in (*fixed, a, b, c))
+
+        def coprime(p, q):
+            return table[p[:, None], q]
+    else:
+
+        def coprime(p, q):
+            return np.gcd.outer(p, q) == 1
+
+    B = coprime(b, c).astype(np.float32)
     total = 0
     for rows in _row_blocks(len(a), len(b), block):
-        A = (np.gcd.outer(a[rows], b) == 1).astype(np.float32)
-        C = (np.gcd.outer(a[rows], c) == 1).astype(np.float32)
-        for ma, mb, mc in _coprime_masks(fixed, (a[rows], b, c)):
+        A = coprime(a[rows], b).astype(np.float32)
+        C = coprime(a[rows], c).astype(np.float32)
+        cuts = (len(A), len(A) + len(b))
+        for mask, times in _coprime_masks(fixed, np.concatenate((a[rows], b, c)), coprime, block):
+            ma, mb, mc = np.split(mask, cuts) if fixed else (slice(None),) * 3
             AB = A[ma][:, mb] @ B[mb][:, mc]
-            total += int(np.einsum("ij,ij->i", AB, C[ma][:, mc]).sum(dtype=np.float64))
+            total += times * int(np.einsum("ij,ij->i", AB, C[ma][:, mc]).sum(dtype=np.float64))
     return total
 
 
-def _coprime_masks(fixed, tails, masks=None):
-    """For every pairwise coprime choice of one value per array in ``fixed``,
-    the masks of the values in each of ``tails`` coprime to all of them
-    (whole slices when ``fixed`` is empty)."""
+def _coprime_masks(fixed, tails, coprime, block, mask=None):
+    """For the pairwise coprime choices of one value per array in ``fixed``,
+    the distinct masks of the values in ``tails`` coprime to all of them, each
+    with the number of choices that give it (a mask can come more than once);
+    one (None, 1) when ``fixed`` is empty.  ``coprime(p, q)`` is the 0/1
+    matrix of p against q."""
     if not fixed:
-        yield masks or [slice(None)] * len(tails)
+        yield None, 1
         return
     head, *rest = fixed
-    for x in head.tolist():
-        keep = [np.gcd(t, x) == 1 for t in tails]
-        yield from _coprime_masks(
-            [v[np.gcd(v, x) == 1] for v in rest],
-            tails,
-            keep if masks is None else [m & k for m, k in zip(masks, keep)],
-        )
+    if rest:
+        for i in range(len(head)):
+            x = head[i : i + 1]
+            keep = coprime(x, tails)[0]
+            yield from _coprime_masks(
+                [v[coprime(x, v)[0]] for v in rest],
+                tails,
+                coprime,
+                block,
+                keep if mask is None else keep & mask,
+            )
+        return
+    for rows in _row_blocks(len(head), len(tails), block):
+        ok = coprime(head[rows], tails)
+        if mask is not None:
+            ok &= mask
+        packed = np.packbits(ok, axis=1)
+        keys = packed.view(f"V{packed.shape[1]}").ravel()
+        _, first, times = np.unique(keys, return_index=True, return_counts=True)
+        yield from zip(ok[first], times.tolist())
 
 
-# the k = 3 cube of _brute_kwise is built 2**17 cells at a time, 1 MB of
-# int64 gcds: the (4, 3) cube at n = 100 peaks at 2.2 MB traced, 8.8 MB in
-# blocks of 2**20
+# _brute_kwise takes its gcd grids and its cube 2**17 cells at a time, 1 MB
+# of int64 indices or uint64 words: (4, 3) peaks at 0.9 MB traced at
+# n = 100, and at 9.2 MB at n = 300, where the cube alone is 3.6 MB
 def _brute_kwise(vals, k: int, block: int = _BRUTE_BLOCK >> 3) -> int:
     # every k of the r coordinates coprime, 3 <= k < r.  By decreasing value
     # count the first r - 3 are fixed one value at a time, and a prefix is
     # dropped once a k-subset inside it shares a factor.  The last three,
-    # z, y, x (axes 2, 1, 0 of the tail, z the widest), are counted as one
-    # boolean cube, kept as bits along z.  A k-subset S with tail axes Q
-    # holds iff gcd(g, the values on Q) = 1, g the gcd of S's fixed values.
-    # The g of the subsets on Q merge into one modulus, their lcm, which
-    # divides the product of the fixed values, at most the volume; a modulus
-    # of 1 tests nothing.  At k = 3 the subset of the tail alone gives the
-    # cube every prefix starts from, built once in row blocks.
+    # z, y, x (axes 2, 1, 0 of the tail, z the widest), are counted as a
+    # cube of bits along z, uint64 words laid out (words, x, y).  A k-subset
+    # S with tail axes Q holds iff gcd(g, the values on Q) = 1, g the gcd of
+    # S's fixed values.  The g of the subsets on Q merge into one modulus,
+    # their lcm, which divides the product of the fixed values, at most the
+    # volume; a modulus of 1 tests nothing.  The gcd grid of each Q is taken
+    # once, so a test takes one gcd per distinct value of the grid and
+    # gathers the rest: a weight on the popcounts of the (x, y) cells when Q
+    # misses z, words ANDed into the cube when it holds z.  At k = 3 the
+    # subset of the tail alone gives the cube every prefix starts from.
+    if not all(map(len, vals)):
+        return 0
     r = len(vals)
     *fixed, z, y, x = sorted(vals, key=len, reverse=True)
     f = len(fixed)
-    tails = (x[:, None, None], y[None, :, None], z[None, None, :])
+    words = -(-len(z) // 64)
 
-    def test(Q, m):
-        """(gcd(m, the values on Q) == 1) over the tail: packed along z when
-        Q holds z, else as bytes of 0 or 255 that cover whole rows of bits."""
-        g = m
-        for i in Q:
-            g = np.gcd(g, tails[i])
-        t = g == 1
-        return np.packbits(t, axis=-1) if Q[-1] == 2 else t * np.uint8(255)
+    def gcd_grid(rows, cols, width):
+        """The distinct gcds of ``rows`` against ``cols``, and the index into
+        them of each cell as a (rows, width) array, 0 past ``cols``; taken
+        in blocks of rows."""
+        index = np.zeros((len(rows), width), dtype=np.intp)
+        blocks = _row_blocks(len(rows), width, block)
+        for b in blocks:
+            index[b, : len(cols)] = np.gcd.outer(rows[b], cols)
+        distinct = np.unique(np.concatenate([np.unique(index[b, : len(cols)]) for b in blocks]))
+        for b in blocks:
+            index[b] = np.searchsorted(distinct, index[b])
+        return distinct, index
+
+    @cache
+    def grid(Q):
+        """(distinct, index, at) for the gcds of the tail values on the axes
+        Q.  Without z, index maps each (x, y) cell, broadcast along an axis
+        Q misses, into distinct, and at is None.  With z, index is a
+        (rows, 64 words) grid over the distinct values of Q's other axes
+        (any index past z, where the cube's bits are 0), and at maps each
+        (x, y) cell to its row."""
+        if Q == (0,):
+            return x, np.arange(len(x))[:, None], None
+        if Q == (1,):
+            return y, np.arange(len(y))[None, :], None
+        if Q == (2,):
+            return z, np.minimum(np.arange(64 * words), len(z) - 1)[None, :], np.zeros((1, 1), dtype=np.intp)
+        if Q == (0, 1):
+            return (*gcd_grid(x, y, len(y)), None)
+        rows, at, _ = grid(Q[:-1])
+        return (*gcd_grid(rows, z, 64 * words), at)
+
+    def test(Q, ok):
+        """The cells of Q's grid whose distinct gcd is ``ok``: bools over the
+        (x, y) cells, or, with z, (words, rows) uint64 and the row of each
+        (x, y) cell."""
+        _, index, at = grid(Q)
+        ok = ok[index]
+        return (ok, None) if at is None else (np.packbits(ok, axis=-1).view(np.uint64).T, at)
 
     # each k-subset by its fixed part P and its tail axes Q
     closers = [[] for _ in range(f)]
@@ -480,19 +572,26 @@ def _brute_kwise(vals, k: int, block: int = _BRUTE_BLOCK >> 3) -> int:
             closers[P[-1]].append(P)
         elif P:
             with_tail.setdefault(P, []).append(Q)
-    shape = (len(x), len(y), (len(z) + 7) // 8)
+    tested = {Q for Qs in with_tail.values() for Q in Qs}
+    for Q in tested:
+        grid(Q)  # before the cube, so their sorts do not add to its memory
+    ones = np.packbits(np.arange(64 * words) < len(z)).view(np.uint64)[:, None, None]
     if k == 3:
-        base = np.empty(shape, dtype=np.uint8)
-        for rows in _row_blocks(len(x), len(y) * len(z), block):
-            xyz = np.gcd(np.gcd(tails[0][rows], tails[1]), tails[2])
-            base[rows] = np.packbits(xyz == 1, axis=-1)
+        base = np.take(*test((0, 1, 2), grid((0, 1, 2))[0] == 1), axis=1)
+        base &= ones
     else:
-        base = np.packbits(np.ones(len(z), dtype=bool))
-    # the cube's bytes, then zeros up to whole uint64 words for the popcount
-    words = np.zeros(-(-prod(shape) // 8), dtype=np.uint64)
-    bits = words.view(np.uint8)[: prod(shape)].reshape(shape)
-    full = int(np.bitwise_count(np.broadcast_to(base, shape)).sum())
+        base = np.broadcast_to(ones, (words, len(x), len(y)))
+    per_cell = np.bitwise_count(base).sum(axis=0, dtype=np.uint32)
+    blocks = _row_blocks(len(x), words * len(y), block)
+    all_cells = np.ones((1, 1), dtype=bool)
+    buf = np.empty((words, blocks[0].stop, len(y)), dtype=np.uint64)
     chosen = [0] * f
+    # a choice's count depends only on its tests' results on the distinct
+    # gcds, so a choice that repeats them is looked up; the results kept,
+    # each under 1 KB of objects and a byte per distinct gcd, stay under
+    # about 1 MB
+    seen: dict[tuple, int] = {}
+    room = _BRUTE_BLOCK // (1024 + sum(len(grid(Q)[0]) for Q in tested))
 
     def count(d: int) -> int:
         if d < f:
@@ -508,12 +607,32 @@ def _brute_kwise(vals, k: int, block: int = _BRUTE_BLOCK >> 3) -> int:
             if g > 1:
                 for Q in Qs:
                     moduli[Q] = lcm(moduli.get(Q, 1), g)
-        if not moduli:
-            return full
-        cube = base
-        for Q, m in moduli.items():
-            cube = np.bitwise_and(cube, test(Q, m), out=bits)
-        return int(np.bitwise_count(words).sum())
+        oks = {Q: np.gcd(m, grid(Q)[0]) == 1 for Q, m in moduli.items()}
+        key = tuple((Q, ok.tobytes()) for Q, ok in oks.items())
+        if key not in seen:
+            if len(seen) >= room:
+                seen.clear()
+            seen[key] = leaf(oks)
+        return seen[key]
+
+    def leaf(oks) -> int:
+        weight, masks = all_cells, []
+        for Q, ok in oks.items():
+            ok, at = test(Q, ok)
+            if at is None:
+                weight = weight & ok
+            else:
+                masks.append((ok, at))
+        if not masks:
+            return int((per_cell * weight).sum())
+        total = 0
+        for rows in blocks:
+            cube, src = buf[:, : rows.stop - rows.start], base[:, rows]
+            for ok, at in masks:
+                src = np.bitwise_and(src, ok.take(at[rows] if len(at) > 1 else at, axis=1), out=cube)
+            w = weight[rows] if len(weight) > 1 else weight
+            total += int((np.bitwise_count(cube).sum(axis=0, dtype=np.uint32) * w).sum())
+        return total
 
     return count(0)
 

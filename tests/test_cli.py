@@ -126,8 +126,9 @@ def test_count_bruteforce_past_the_cell_cap_is_refused_fast(capsys):
 
 
 def test_count_pairwise_bruteforce_past_its_choices_is_refused_fast(capsys):
-    # 4e8 gcds, under the cap, but 10**8 choices of the two wide coordinates,
-    # each a few numpy calls on one-value tails: minutes
+    # 4e8 gcds, under the cap, but 10**8 choices of the two wide coordinates
+    # at 150 units each (the kernel, counting the last coordinate's choices
+    # in blocks, takes about 10 s on 2 vCPUs)
     start = time.perf_counter()
     code, out, err = run_cli(
         capsys, "count", "--class", "pairwise", "-r", "5", "-n", "10000",
@@ -135,21 +136,24 @@ def test_count_pairwise_bruteforce_past_its_choices_is_refused_fast(capsys):
     )
     assert time.perf_counter() - start < 2
     assert (code, out) == (4, "")
-    assert "50400030003 gcds" in err
+    assert "15400030003 gcds" in err
 
 
 @pytest.mark.parametrize(
     "argv, message",
     (
-        (["-r", "5", "-k", "4", "-n", "100"], "3517490000 gcds"),
-        (["-r", "4", "-k", "3", "-n", "5000", "--alpha", "1,1,1/5,1/5000"], "8447520333 gcds"),
+        (["-r", "5", "-k", "4", "-n", "100"], "867075000 gcds"),
+        (["-r", "4", "-k", "3", "-n", "5000", "--alpha", "1,1,1/5,1/5000"], "1981045437 gcds"),
         (["-r", "4", "-k", "3", "-n", "100000000", "--alpha", "1" + ",1/100000000" * 3],
-         "61400000000 gcds"),
+         "41418750000 gcds"),
     ),
+    ids=("r5-k4-cube", "r4-k3-thin", "r4-k3-one-wide"),
 )
 def test_count_kwise_bruteforce_past_its_work_cap_is_refused_fast(capsys, argv, message):
-    # minutes of the k-wise kernel: its gcds, or (last) 10**8 choices of the
-    # widest coordinate, each a few numpy calls
+    # past the cap by the k-wise estimate: a gcd per cell of its grids, or
+    # (last) 10**8 choices of the widest coordinate, each a few numpy calls.
+    # The kernel takes a gcd per distinct value of a grid, and counts the
+    # first two in about 0.5 s and 17 s on 2 vCPUs
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "count", "--class", "kwise", *argv, "--method", "bruteforce")
     assert time.perf_counter() - start < 2

@@ -6,7 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, permutations, product
 from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
@@ -619,6 +619,22 @@ def test_brute_cell_estimate_bounds_the_gcds_taken(monkeypatch):
             assert counter.cells <= gcds, (bounds, sides, k)
 
 
+def test_pairwise_cell_estimate_counts_the_masks_of_each_row_block(monkeypatch):
+    # sided arrays with few shared values, so the pairwise kernel takes its
+    # gcds (no table), and 64-cell blocks, so the widest tail spans two
+    counter = _GcdCounter()
+    monkeypatch.setattr(counting, "np", counter)
+    monkeypatch.setattr(counting, "_BRUTE_BLOCK", 64)
+    sides = (Residue(2, 1), DivisibleBy(2), DivisibleBy(3), None)
+    bounds = (24, 20, 24, 5)
+    vals = [counting._allowed_values(b, s) for b, s in zip(bounds, sides)]
+    _, gcds, _ = counting._brute_plan([len(v) for v in vals], bounds, 2)
+    want = counting._brute_pairwise(vals, 1 << 20)
+    counter.cells = 0
+    assert counting._brute_pairwise(vals, 64) == want
+    assert 0 < counter.cells <= gcds
+
+
 def test_bruteforce_refuses_past_the_cell_cap_before_building_arrays(monkeypatch):
     # 10**10 gcds of a 10**5 x 10**5 coprimality matrix: about 11 minutes
     monkeypatch.setattr(counting, "_allowed_values", None)
@@ -631,7 +647,9 @@ def test_bruteforce_refuses_past_the_cell_cap_before_building_arrays(monkeypatch
     # 10**8 choices of the two wide coordinates, each a few numpy calls
     with pytest.raises(CapacityError, match="gcds"):
         count_box_bruteforce(Box(bounds=(10**4, 10**4, 1, 1, 1), n=10**4), TupleConstraint.pairwise(5))
-    # 2.5e10 and 1e10 gcds of the k-wise kernel: minutes
+    # 2.5e10 and 1e10 cells of the k-wise gcd grids, a gcd each by the
+    # estimate (the kernel takes one per distinct value and counts these
+    # two in about 17 s and 0.5 s)
     with pytest.raises(CapacityError, match="gcds"):
         count_box_bruteforce(Box(bounds=(5000, 5000, 1000, 1), n=5000), TupleConstraint.kwise(4, 3))
     with pytest.raises(CapacityError, match="gcds"):
@@ -645,7 +663,7 @@ def test_bruteforce_refuses_past_the_cell_cap_before_building_arrays(monkeypatch
 def test_kwise_bruteforce_counts_what_the_prefix_enumeration_could_not():
     # the plain prefix enumeration refused (5, 3) at n = 60 (1.2e8 steps) and
     # took 39 s and 5.7 s on the other two; the bit-cube kernel takes about
-    # 0.9, 0.25 and 0.25 s on 2 vCPUs
+    # 0.08, 0.03 and 0.07 s on 2 vCPUs
     for r, k, n in ((5, 3, 60), (5, 3, 40), (8, 4, 5)):
         box, c = Box.cube(n, r), TupleConstraint.kwise(r, k)
         start = time.perf_counter()
@@ -744,6 +762,18 @@ def test_brute_kernels_equal_the_generic_enumeration():
     # r = 2..6, every subset size, moduli that share primes, ragged and zero
     # bounds; the 7-cell block runs the block loops that the default block
     # size skips here
+    def check(vals, case):
+        r = len(vals)
+        kernels = [(r, counting._brute_mutual)]
+        if r >= 3:
+            kernels.append((2, counting._brute_pairwise))
+        for k in range(3, r):
+            kernels.append((k, lambda vals, block, k=k: counting._brute_kwise(vals, k, block)))
+        for k, kernel in kernels:
+            want = _brute_generic(vals, tuple(combinations(range(r), k)))
+            for block in (counting._BRUTE_BLOCK, 7):
+                assert kernel(vals, block) == want, (case, k, block)
+
     rng = random.Random(20261019)
     caps = {2: 60, 3: 30, 4: 16, 5: 10, 6: 8}
     kinds_seen = set()
@@ -755,17 +785,27 @@ def test_brute_kernels_equal_the_generic_enumeration():
         bounds = [rng.randint(n // 2, n) for _ in range(r)]
         if trial % 7 == 0:
             bounds[rng.randrange(r)] = 0
-        vals = [counting._allowed_values(b, side) for b, side in zip(bounds, sides)]
-        kernels = [(r, counting._brute_mutual)]
-        if r >= 3:
-            kernels.append((2, counting._brute_pairwise))
-        for k in range(3, r):
-            kernels.append((k, lambda vals, block, k=k: counting._brute_kwise(vals, k, block)))
-        for k, kernel in kernels:
-            want = _brute_generic(vals, tuple(combinations(range(r), k)))
-            for block in (counting._BRUTE_BLOCK, 7):
-                assert kernel(vals, block) == want, (trial, k, bounds, sides, block)
+        check([counting._allowed_values(b, side) for b, side in zip(bounds, sides)], (trial, bounds, sides))
     assert kinds_seen == {"CoprimeTo", "DivisibleBy", "Residue"}
+    # arrays that random boxes seldom make: identical, and prefixes of one
+    # another (the pairwise kernel gathers from one table over their union);
+    # sided; fixed values that share a radical (the pairwise kernel counts
+    # a mask once for all of them); and fixed values whose gcds, and their
+    # lcm, pass every tail value (the k-wise moduli)
+    radicals = np.array([2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 24, 25, 27, 36])
+    big = 30030 * np.arange(1, 9)  # 2 * 3 * 5 * 7 * 11 * 13 times 1..8
+    cases = {
+        "identical": [np.arange(1, 11)] * 4,
+        "identical r=5": [np.arange(1, 8)] * 5,
+        "prefixes": [np.arange(1, n + 1) for n in (14, 11, 9, 6)],
+        "prefixes r=5": [np.arange(1, n + 1) for n in (9, 8, 7, 6, 5)],
+        "sided": [counting._allowed_values(24, s) for s in (CoprimeTo(6), DivisibleBy(2), Residue(3, 1), None)],
+        "radicals": [radicals, np.arange(1, 9), np.arange(1, 8), np.arange(1, 7)],
+        "radicals r=5": [radicals, radicals[:12], np.arange(1, 9), np.arange(1, 8), np.arange(1, 7)],
+        "moduli past the values": [big, 17 * big[:7], np.arange(1, 7), np.arange(1, 6), np.arange(1, 5)],
+    }
+    for case, vals in cases.items():
+        check(vals, case)
 
 
 @settings(max_examples=100, deadline=None)
@@ -798,6 +838,29 @@ def test_bruteforce_equals_mobius_on_random_boxes(case):
     c = TupleConstraint(r=r, kind=kind, k=k if kind == "kwise" else None, sides=tuple(sides))
     box = Box(bounds=tuple(bounds), n=max(max(bounds), 1))
     assert count_box_bruteforce(box, c).count == count_mobius(box, c).count
+
+
+def test_kwise_bruteforce_counts_the_same_with_no_results_kept(monkeypatch):
+    # no room for the kept results of earlier choices: each choice is counted
+    want = {(r, k, n): count_box_bruteforce(Box.cube(n, r), TupleConstraint.kwise(r, k)).count
+            for r, k, n in ((4, 3, 30), (5, 3, 12), (6, 4, 6))}
+    monkeypatch.setattr(counting, "_BRUTE_BLOCK", 0)
+    for (r, k, n), count in want.items():
+        vals = [counting._allowed_values(n, None)] * r
+        assert counting._brute_kwise(vals, k) == count, (r, k, n)
+
+
+def test_bruteforce_equals_mobius_on_the_benchmarked_boxes():
+    # the brute-force boxes of the multi-subset workload: every n its seed
+    # can pick and every order of its sampled bounds
+    boxes = [((22,) * 4, 2), ((160,) * 4, 2), ((100,) * 4, 3)]
+    boxes += [((n,) * 3, 2) for n in range(298, 303)]
+    boxes += [(b, 2) for s in ((320, 240, 180), (30, 24, 20)) for b in permutations(s)]
+    for bounds, k in boxes:
+        r = len(bounds)
+        box = Box(bounds=bounds, n=max(bounds))
+        c = TupleConstraint.pairwise(r) if k == 2 else TupleConstraint.kwise(r, k)
+        assert count_box_bruteforce(box, c).count == count_mobius(box, c).count, (bounds, k)
 
 
 def test_engines_equal_bruteforce_up_to_r8():
@@ -840,6 +903,20 @@ def test_pairwise_bruteforce_memory_stays_below_the_product_of_two_bounds():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert got == count_mobius(Box.cube(3000, 2), TupleConstraint.mutual(2)).count
+
+
+def test_kwise_bruteforce_memory_stays_below_three_cubes():
+    # (4, 3) at n = 300: the bit cube is 3.6 MB; with the gcd grids, one
+    # block of the cube and the gathers the kernel peaks at about 9 MB traced
+    box, c = Box.cube(300, 4), TupleConstraint.kwise(4, 3)
+    tracemalloc.start()
+    try:
+        got = count_box_bruteforce(box, c).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    assert got == count_mobius(box, c).count
 
 
 # -- side-condition tables and exact accumulation -----------------------------
