@@ -11,7 +11,8 @@ divisibility, or a residue class.  This package computes
   (`count_box_bruteforce`, `count_mobius`, `count_toth`, `pattern_count`,
   plus gcd/lcm weighted sums);
 * the exact sup-discrepancy between the empirical distribution of the
-  tuples and the uniform law (`build_grid`, `sup_discrepancy`, `rate_scan`);
+  tuples and the uniform law, over one prefix-count array (`build_grid`,
+  `sup_discrepancy`) or streamed across scales (`rate_scan`);
 * reproducible Monte Carlo estimates (`estimate`).
 
 The command-line interface (``coprime-lab``) exposes the same four areas.
@@ -54,7 +55,6 @@ from .counting import (
     weighted_sum_lcm,
 )
 from .discrepancy import (
-    CountGrid,
     DiscrepancyReport,
     build_grid,
     measure_cdf_error,
@@ -72,7 +72,6 @@ __all__ = [
     "CapacityError",
     "CoprimeLabError",
     "CoprimeTo",
-    "CountGrid",
     "CountResult",
     "DiscrepancyReport",
     "DivisibleBy",

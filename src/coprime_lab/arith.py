@@ -124,14 +124,14 @@ def prime_divisors(m: int) -> tuple[int, ...]:
     return tuple(p for p, _ in factor_small(m))
 
 
-def signed_subset_products(primes, cap: int | None = None) -> tuple[tuple[int, int], ...]:
+def signed_subset_products(primes) -> tuple[tuple[int, int], ...]:
     """All ``(d, mu(d))`` with ``d`` a product of distinct entries of ``primes``.
 
-    With ``cap``, only the products ``d <= cap`` are listed.  The order is
-    fixed: each prime appends the signed products of the list so far.
+    The order is fixed: each prime appends the signed products of the list
+    so far.
     """
     pairs = [(1, 1)]
     for p in primes:
-        pairs += [(d * p, -s) for d, s in pairs if cap is None or d * p <= cap]
+        pairs += [(d * p, -s) for d, s in pairs]
     return tuple(pairs)
 

@@ -947,8 +947,6 @@ def count_mobius(box: Box, constraint: TupleConstraint) -> CountResult:
         wmax = 1
     else:
         A, W, wmax = _mobius_table(box.bounds, constraint.effective_k)
-        if len(W) > _MOBIUS_ROWS_MAX:  # a table built under a larger budget
-            raise CapacityError(f"the Möbius table passes {_MOBIUS_ROWS_MAX} rows")
     counts = [_side_counts(b, side) for b, side in zip(box.bounds, constraint.sides)]
     dtype = _row_dtype(box.volume(), wmax)
     total = 0

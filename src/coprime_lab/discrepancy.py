@@ -15,15 +15,16 @@ a slab take one cumulative sum per inner axis and a running add of the row
 before along the first axis.  The scan keeps a running maximum over the
 slabs in two reused int64 buffers.
 
-Only ``build_grid`` holds (n+1)^r cells, as an int32 grid of 4 bytes a cell.
+Only ``build_grid`` holds (n+1)^r cells: it returns the prefix counts as an
+int32 array of 4 bytes a cell, which ``sup_discrepancy`` scans.
 ``rate_scan`` stores no grid: the grid at a smaller scale is a corner of the
 grid at the largest, so one membership pass counts every scale's total and
 one prefix sweep over a reused slab buffer feeds every scale's scan.  Its
 memory is a few slabs and rows of the largest grid, and ``GRID_CELL_CAP`` on
 the (n+1)^r cells of the largest scale bounds its time.  On a 2-vCPU
-machine mutual r = 3, n = 630 (2.5e8 cells) took 4.7 s at a peak RSS of
-48 MB, and scans at the cap took 18 s (r = 3, n = 999) and 14 s (r = 2,
-n = 31621) at 74 and 38 MB.
+machine, scans just under the cap took 1.1 s (mutual r = 3, n = 478) to
+3.4 s (mutual r = 5, n = 39, unequal sides) as cold processes, at
+37-200 MB.
 
 ``measure_cdf_error`` does the analogous job for the limiting CDFs of the
 gcd and lcm weighted sums, on a rational grid of box shapes.
@@ -41,7 +42,8 @@ from . import counting
 from .constraints import TupleConstraint
 from .errors import CapacityError
 
-GRID_CELL_CAP = 10**9
+# above 101**4, the r = 4, n = 100 grid; scans just under it took 1.1-3.4 s cold on 2 vCPUs
+GRID_CELL_CAP = 110_000_000
 # measure_cdf_error makes step**2 + 1 weighted sums on one summatory: at this
 # cap 1025 of them, 0.04 s at n = 64 and at n = 1024 on 2 vCPUs
 MEASURE_STEP_CAP = 32
@@ -49,22 +51,6 @@ _SLAB_CELLS = 1 << 18
 
 FLAG_AT_CORNER = "AtCorner"
 FLAG_LEFT_LIMIT = "LeftLimit"
-
-
-@dataclass(frozen=True)
-class CountGrid:
-    """Cumulative counts: ``cumulative[m]`` = #points with x_j <= m_j for all j."""
-
-    n: int
-    r: int
-    cumulative: np.ndarray
-
-    def __post_init__(self) -> None:
-        expected = (self.n + 1,) * self.r
-        if self.cumulative.shape != expected:
-            raise ValueError(
-                f"cumulative grid must have shape {expected}, got {self.cumulative.shape}"
-            )
 
 
 def _check_scale(n: int, r: int) -> None:
@@ -150,17 +136,18 @@ def _prefix_slabs(n: int, constraint: TupleConstraint):
         buf[0] = block[-1]
 
 
-def build_grid(n: int, constraint: TupleConstraint) -> CountGrid:
-    """Prefix-count grid for all boxes with bounds <= n in each coordinate.
+def build_grid(n: int, constraint: TupleConstraint) -> np.ndarray:
+    """Prefix counts for all boxes with bounds <= n in each coordinate, as an
+    int32 (n+1)^r array: ``cum[m]`` = #points with x_j <= m_j for all j.
 
-    Each slab of ``_prefix_slabs`` is copied into the int32 grid, so the
-    build holds one grid and one slab.
+    Each slab of ``_prefix_slabs`` is copied in, so the build holds one grid
+    and one slab.
     """
     _check_scale(n, constraint.r)
     cum = np.empty((n + 1,) * constraint.r, dtype=np.int32)
     for a, b, block in _prefix_slabs(n, constraint):
         cum[a:b] = block
-    return CountGrid(n=n, r=constraint.r, cumulative=cum)
+    return cum
 
 
 @dataclass(frozen=True)
@@ -251,20 +238,24 @@ def _scan_buffer(n: int, r: int) -> np.ndarray:
 
 
 def sup_discrepancy(
-    grid: CountGrid, constraint: TupleConstraint | None = None
+    cumulative: np.ndarray, constraint: TupleConstraint | None = None
 ) -> DiscrepancyReport:
-    """Exact sup over t in [0,1]^r of |empirical CDF - prod t_j|.
+    """Exact sup over t in [0,1]^r of |empirical CDF - prod t_j|, for the
+    prefix counts ``cumulative`` of ``build_grid``, an (n+1)^r cube with n >= 1.
 
     Scans every corner of the grid (``_SupScan``), since nothing here says
     the grid is symmetric.  The argmax is the first maximizer in row-major
     order, corner candidates preferred; ``constraint`` only normalizes the
     rate ratio.
     """
-    n, r = grid.n, grid.r
-    scan = _SupScan(n, r, int(grid.cumulative[(-1,) * r]), wedge=False)
+    shape = cumulative.shape
+    if not shape or shape != (shape[0],) * len(shape) or shape[0] < 2:
+        raise ValueError(f"cumulative grid must be a cube with sides >= 2, got shape {shape}")
+    n, r = shape[0] - 1, len(shape)
+    scan = _SupScan(n, r, int(cumulative[(-1,) * r]), wedge=False)
     buf = _scan_buffer(n, r)
     for a, b in _slabs(n, r):
-        scan.feed(a, grid.cumulative[a:b], buf)
+        scan.feed(a, cumulative[a:b], buf)
     return scan.report(constraint)
 
 

@@ -156,7 +156,7 @@ def test_5_counter_equivalence_zero_tolerance():
         grid = build_grid(n_max, c)
         for bounds in product(range(n_max + 1), repeat=r):
             got = count_mobius(Box(bounds=bounds, n=n_max), c).count
-            bad += got != int(grid.cumulative[bounds])
+            bad += got != int(grid[bounds])
             boxes += 1
 
     toth_checks = 0
@@ -170,7 +170,7 @@ def test_5_counter_equivalence_zero_tolerance():
             c = TupleConstraint.pairwise(r, (CoprimeTo(u),) * r)
             grid = build_grid(100, c)
             for n in range(1, 101):
-                bad += count_toth((n,) * r, u).count != int(grid.cumulative[(n,) * r])
+                bad += count_toth((n,) * r, u).count != int(grid[(n,) * r])
                 toth_checks += 1
 
     _verdict(

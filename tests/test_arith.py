@@ -139,7 +139,6 @@ def test_signed_subset_products():
     assert signed(arith.prime_divisors(6)) == ((1, 1), (2, -1), (3, -1), (6, 1))
     assert signed(arith.prime_divisors(4)) == ((1, 1), (2, -1))
     assert signed(arith.prime_divisors(1)) == ((1, 1),)
-    assert signed((2, 3, 5), cap=10) == ((1, 1), (2, -1), (3, -1), (6, 1), (5, -1), (10, 1))
 
 
 def test_toth_factor_values():

@@ -42,25 +42,49 @@ GRID_CLASSES = (
 )
 
 
+def _membership_grid(n, constraint):
+    """The prefix counts over [0,n]^r from ``member`` and ``np.cumsum``, with
+    none of the slab code."""
+    r = constraint.r
+    grid = np.zeros((n + 1,) * r, dtype=np.int64)
+    for x in product(range(1, n + 1), repeat=r):
+        grid[x] = member(x, constraint)
+    for axis in range(r):
+        grid = np.cumsum(grid, axis=axis)
+    return grid
+
+
 def test_grid_cumulative_matches_membership(monkeypatch):
     n = 12
     for constraint in GRID_CLASSES:
-        r = constraint.r
-        want = np.zeros((n + 1,) * r, dtype=np.int64)
-        for x in product(range(1, n + 1), repeat=r):
-            want[x] = member(x, constraint)
-        for axis in range(r):
-            want = np.cumsum(want, axis=axis)
+        want = _membership_grid(n, constraint)
         for slab_cells in SLAB_SIZES:
             monkeypatch.setattr(discrepancy, "_SLAB_CELLS", slab_cells)
             grid = build_grid(n, constraint)
-            assert np.array_equal(grid.cumulative, want), (constraint.describe(), slab_cells)
+            assert np.array_equal(grid, want), (constraint.describe(), slab_cells)
+
+
+def test_scan_of_a_membership_grid_equals_rate_scan(monkeypatch):
+    # the grid is built without _prefix_slabs, which rate_scan runs on
+    n = 12
+    for constraint in GRID_CLASSES:
+        grid = _membership_grid(n, constraint)
+        for slab_cells in SLAB_SIZES:
+            monkeypatch.setattr(discrepancy, "_SLAB_CELLS", slab_cells)
+            want = sup_discrepancy(grid, constraint)
+            assert rate_scan((n,), constraint) == [want], (constraint.describe(), slab_cells)
+
+
+def test_sup_discrepancy_refuses_a_grid_that_is_not_a_cube():
+    for shape in ((3, 4), (3, 3, 2), (1, 1), (1,), ()):
+        with pytest.raises(ValueError, match="cube"):
+            sup_discrepancy(np.ones(shape, dtype=np.int32))
 
 
 def test_grid_frozen_corner():
     grid = build_grid(4, TupleConstraint.mutual(2))
-    assert int(grid.cumulative[4, 4]) == 11
-    assert int(grid.cumulative[0, 4]) == 0
+    assert int(grid[4, 4]) == 11
+    assert int(grid[0, 4]) == 0
 
 
 def test_grid_cell_cap():
@@ -90,7 +114,7 @@ def test_sup_discrepancy_against_dense_grid():
         axis = [Fraction(i, 4 * n) for i in range(0, 4 * n + 1)]
         for t in product(axis, repeat=r):
             idx = tuple(int(ti * n) for ti in t)
-            emp = Fraction(int(grid.cumulative[idx]), total)
+            emp = Fraction(int(grid[idx]), total)
             vol = Fraction(1)
             for ti in t:
                 vol *= ti
@@ -107,7 +131,7 @@ def test_sup_discrepancy_attained_value_is_consistent():
     grid = build_grid(n, constraint)
     report = sup_discrepancy(grid, constraint)
     m = report.argmax
-    emp = Fraction(int(grid.cumulative[m]), report.total)
+    emp = Fraction(int(grid[m]), report.total)
     if report.flag == FLAG_AT_CORNER:
         vol = Fraction(m[0], n) * Fraction(m[1], n)
     else:
@@ -193,14 +217,14 @@ def test_grid_matches_bruteforce_counts():
     grid = build_grid(n, c)
     for bounds in ((20, 20, 20), (7, 13, 20), (1, 1, 1)):
         want = count_box_bruteforce(Box(bounds=bounds, n=n), c).count
-        assert int(grid.cumulative[bounds]) == want
+        assert int(grid[bounds]) == want
 
 
 def _whole_grid_sup(grid):
     """The whole-array form of the sup scan: every corner and left-limit
     numerator at once, then the first maximizer in row-major order."""
-    n, r = grid.n, grid.r
-    total = int(grid.cumulative[(-1,) * r])
+    n, r = len(grid) - 1, grid.ndim
+    total = int(grid[(-1,) * r])
     scale = n**r
     lo = np.ones((1,) * r, dtype=np.int64)
     hi = np.ones((1,) * r, dtype=np.int64)
@@ -210,7 +234,7 @@ def _whole_grid_sup(grid):
         shape[j] = n + 1
         lo = lo * ax.reshape(shape)
         hi = hi * np.minimum(ax + 1, n).reshape(shape)
-    v = grid.cumulative.astype(np.int64) * scale
+    v = grid.astype(np.int64) * scale
     corner = np.abs(v - total * lo)
     left = np.abs(v - total * hi)
     ic, il = int(np.argmax(corner)), int(np.argmax(left))
@@ -238,7 +262,7 @@ def test_slab_scan_matches_whole_grid_formula(monkeypatch):
     ]
     for constraint, n in cases:
         grid = build_grid(n, constraint)
-        if int(grid.cumulative[(-1,) * grid.r]) == 0:
+        if int(grid[(-1,) * grid.ndim]) == 0:
             continue
         value, argmax, flag, total = _whole_grid_sup(grid)
         for slab_cells in SLAB_SIZES:
@@ -267,7 +291,7 @@ def test_grid_and_scan_peak_memory():
         _, scan_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    size = grid.cumulative.nbytes
+    size = grid.nbytes
     assert scan_peak - base < size
     assert build_peak < 1.2 * size
 
