@@ -874,8 +874,7 @@ def _run_sum(bounds, F, w=None) -> int:
     one term (F(e) - F(e')) prod_i w(B_i // e), all of them in a few numpy
     calls: in int64 where a float64 bound on the term, inflated for rounding,
     is under 2**62 / runs, so that no product or partial sum overflows, and in
-    Python integers otherwise.  When a bound on every term already is, the
-    per-run bounds are skipped."""
+    Python integers otherwise."""
     if min(bounds) == 0:
         return 0
     xs, values = F
@@ -896,8 +895,6 @@ def _run_sum(bounds, F, w=None) -> int:
 
     # a term's bound max(1, |F(e) - F(e')|) prod_i w(B_i // e) holds every
     # partial product, as w(q) >= 1, and w's own q (q + 1) is twice w(q)
-    if dF.dtype != object and max(1, int(np.abs(dF).max())) * prod(map(w, bounds)) < limit:
-        return terms(slice(None), np.int64)
     size = np.maximum(np.abs(dF.astype(float)), 1)
     with np.errstate(over="ignore"):  # an infinite bound goes to Python ints
         for q in qs:
